@@ -25,7 +25,14 @@ from .classify import (
     nilpotents,
     units,
 )
-from .construct import Caps, build, make_table_ring, parse_ring_spec
+from .construct import (
+    DEFAULT_IDEAL_CAP,
+    DEFAULT_ORDER_CAP,
+    Caps,
+    build,
+    make_table_ring,
+    parse_ring_spec,
+)
 from .decompose import (
     clean_decompositions,
     is_clean_ideal,
@@ -44,6 +51,7 @@ from .errors import (
     ExhaustiveTooLarge,
     NilCleanError,
     NotAnIdeal,
+    NotCentralIdempotent,
     OrderCapExceeded,
     ParseError,
     UnknownCheck,
@@ -339,10 +347,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("table", "json"), default="table", help="output format"
     )
     common.add_argument(
-        "--order-cap", type=int, default=4096, help="largest constructible order"
+        "--order-cap",
+        type=int,
+        default=DEFAULT_ORDER_CAP,
+        help="largest constructible order",
     )
     common.add_argument(
-        "--ideal-cap", type=int, default=512, help="most ideals enumerated per ring"
+        "--ideal-cap",
+        type=int,
+        default=DEFAULT_IDEAL_CAP,
+        help="most ideals enumerated per ring",
     )
 
     parser = argparse.ArgumentParser(
@@ -411,7 +425,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_USAGE
-    except (BadParameter, UnknownCheck, NotAnIdeal) as exc:
+    except (BadParameter, UnknownCheck, NotAnIdeal, NotCentralIdempotent) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (OrderCapExceeded, CapExceeded, ExhaustiveTooLarge) as exc:

@@ -22,6 +22,7 @@ membership sets and tables stay uniform across families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 from typing import Callable, Tuple, Union
 
@@ -230,6 +231,90 @@ def parse_ring_spec(text: str) -> RingSpec:
 
 
 # --------------------------------------------------------------------------
+# table builders
+#
+# Up to MATERIALIZE_CAP every constructor hands FiniteRing whole tables, made
+# from rows that already exist by index arithmetic, with no function call per
+# entry.  Entries are looked up in one shared ``ints = list(range(order))`` so
+# equal entries share one int object.  Above the cap the constructors hand in
+# per-entry closures instead; those closures are the reference the tables are
+# tested against.
+
+
+def _strides(orders) -> list:
+    """Mixed-radix place values, first coordinate most significant."""
+    out, acc = [], 1
+    for o in reversed(orders):
+        out.append(acc)
+        acc *= o
+    out.reverse()
+    return out
+
+
+def _radix_sum(vectors, ints) -> list:
+    """Every sum of one entry per vector, first vector most significant.
+
+    With vectors already scaled by their strides this is the mixed-radix
+    combination: entry ``(d_1, .., d_k)`` is ``vectors[0][d_1] + .. +
+    vectors[k-1][d_k]``.
+    """
+    acc = [0]
+    for vec in vectors[:-1]:
+        acc = [a + v for a in acc for v in vec]
+    last = vectors[-1]
+    return [ints[a + v] for a in acc for v in last]
+
+
+def _componentwise_rows(tables, ints) -> list:
+    """Rows of the componentwise operation on tuples, one table per slot."""
+    strides = _strides([len(t) for t in tables])
+    scaled = [[[s * v for v in row] for row in t] for t, s in zip(tables, strides)]
+    return [_radix_sum(rows, ints) for rows in product(*scaled)]
+
+
+def _componentwise_list(vectors, ints) -> list:
+    """The componentwise unary map on tuples, one vector per slot."""
+    strides = _strides([len(v) for v in vectors])
+    return _radix_sum([[s * x for x in v] for v, s in zip(vectors, strides)], ints)
+
+
+def _zmod_add_rows(n: int) -> list:
+    r = list(range(n))
+    return [r[i:] + r[:i] for i in r]
+
+
+def _zmod_neg(n: int) -> list:
+    r = list(range(n))
+    return r[:1] + r[:0:-1]
+
+
+def _table_rows(ring: FiniteRing) -> tuple:
+    """(add rows, mul rows, negation list) of a ring small enough for tables."""
+    n = ring.order
+    return (
+        [ring.add_row(i) for i in range(n)],
+        [ring.mul_row(i) for i in range(n)],
+        [ring.neg_i(i) for i in range(n)],
+    )
+
+
+def _induced_tables(ring: FiniteRing, elems, index) -> tuple:
+    """Tables on `elems` (coset representatives or corner members) whose entry
+    for (i, j) is ``index[elems[i] op elems[j]]``, from the parent's rows."""
+    if ring.order <= MATERIALIZE_CAP:
+        add = [[index[row[y]] for y in elems] for row in map(ring.add_row, elems)]
+        mul = [[index[row[y]] for y in elems] for row in map(ring.mul_row, elems)]
+    else:
+        # the parent has no rows to re-index; computing whole parent rows
+        # would cost parent-order entries per row, so go entry by entry
+        add_i, mul_i = ring.add_i, ring.mul_i
+        add = [[index[add_i(x, y)] for y in elems] for x in elems]
+        mul = [[index[mul_i(x, y)] for y in elems] for x in elems]
+    neg = [index[ring.neg_i(x)] for x in elems]
+    return add, mul, neg
+
+
+# --------------------------------------------------------------------------
 # constructors
 
 
@@ -240,11 +325,14 @@ def make_zmod(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     if n > cap:
         raise OrderCapExceeded(f"order {n} exceeds cap {cap}")
     if n <= MATERIALIZE_CAP:
-        add = [[(i + j) % n for j in range(n)] for i in range(n)]
-        mul = [[(i * j) % n for j in range(n)] for i in range(n)]
+        r = list(range(n))
+        add = _zmod_add_rows(n)
+        mul = [[r[(i * j) % n] for j in r] for i in r]
+        neg = _zmod_neg(n)
     else:
         add = lambda i, j: (i + j) % n
         mul = lambda i, j: (i * j) % n
+        neg = lambda i: (-i) % n
     return FiniteRing(
         order=n,
         zero=0,
@@ -253,7 +341,7 @@ def make_zmod(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         structure=("zmod", n),
         add=add,
         mul=mul,
-        neg=lambda i: (-i) % n,
+        neg=neg,
     )
 
 
@@ -267,12 +355,7 @@ def make_product(parts, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         order *= p.order
         if order > cap:
             raise OrderCapExceeded(f"product order exceeds cap {cap}")
-    strides = []
-    acc = 1
-    for p in reversed(parts):
-        strides.append(acc)
-        acc *= p.order
-    strides.reverse()
+    strides = _strides([p.order for p in parts])
 
     def decode(i: int) -> tuple:
         out = []
@@ -283,21 +366,29 @@ def make_product(parts, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     def encode(tup) -> int:
         return sum(t * s for t, s in zip(tup, strides))
 
-    def add(i, j):
-        return encode(
-            tuple(p.add_i(a, b) for p, a, b in zip(parts, decode(i), decode(j)))
-        )
-
-    def mul(i, j):
-        return encode(
-            tuple(p.mul_i(a, b) for p, a, b in zip(parts, decode(i), decode(j)))
-        )
-
-    def neg(i):
-        return encode(tuple(p.neg_i(a) for p, a in zip(parts, decode(i))))
-
     def labeler(i):
         return "(" + ",".join(p.label(a) for p, a in zip(parts, decode(i))) + ")"
+
+    if order <= MATERIALIZE_CAP:
+        ints = list(range(order))
+        adds, muls, negs = zip(*map(_table_rows, parts))
+        add = _componentwise_rows(adds, ints)
+        mul = _componentwise_rows(muls, ints)
+        neg = _componentwise_list(negs, ints)
+    else:
+
+        def add(i, j):
+            return encode(
+                tuple(p.add_i(a, b) for p, a, b in zip(parts, decode(i), decode(j)))
+            )
+
+        def mul(i, j):
+            return encode(
+                tuple(p.mul_i(a, b) for p, a, b in zip(parts, decode(i), decode(j)))
+            )
+
+        def neg(i):
+            return encode(tuple(p.neg_i(a) for p, a in zip(parts, decode(i))))
 
     return FiniteRing(
         order=order,
@@ -311,6 +402,51 @@ def make_product(parts, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         decode=decode,
         labeler=labeler,
     )
+
+
+def _triangular_mul_rows(A, M, zero: int, n: int, ints) -> list:
+    """Multiplication rows of n-by-n upper-triangular matrices over the base
+    ring with add rows `A` and mul rows `M`.
+
+    Entry (r, c) of xy reads only column c of y.  So each row is first built
+    with y's entries in column-major order, where it is the mixed-radix sum
+    of one vector per column of y, and then permuted to the row-major index.
+    """
+    positions = TRI_POSITIONS[n]
+    k = len(positions)
+    b = len(A)
+    place = {pos: b ** (k - 1 - t) for t, pos in enumerate(positions)}
+    col_major = [(r, c) for c in range(n) for r in range(c + 1)]
+    col_place = [b ** (k - 1 - t) for t in range(k)]
+    perm = None
+    if col_major != list(positions):
+        perm = []
+        for y in product(range(b), repeat=k):
+            entries = dict(zip(positions, y))
+            perm.append(sum(entries[pos] * p for pos, p in zip(col_major, col_place)))
+    col_tuples = [list(product(range(b), repeat=c + 1)) for c in range(n)]
+    rows = []
+    for x in product(range(b), repeat=k):
+        xe = dict(zip(positions, x))
+        vectors = []
+        for c in range(n):
+            # vector over y's column c, (y[0][c], .., y[c][c]) in mixed radix;
+            # its entry is the place-weighted column c of xy
+            mrows = [[M[xe[(r, t)]] for t in range(r, c + 1)] for r in range(c + 1)]
+            weights = [place[(r, c)] for r in range(c + 1)]
+            vec = []
+            for ycol in col_tuples[c]:
+                total = 0
+                for r, w in enumerate(weights):
+                    acc = zero
+                    for m_rt, y in zip(mrows[r], ycol[r:]):
+                        acc = A[acc][m_rt[y]]
+                    total += w * acc
+                vec.append(total)
+            vectors.append(vec)
+        row = _radix_sum(vectors, ints)
+        rows.append(row if perm is None else [row[p] for p in perm])
+    return rows
 
 
 def make_upper_triangular(base: FiniteRing, n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
@@ -343,22 +479,30 @@ def make_upper_triangular(base: FiniteRing, n: int, cap: int = DEFAULT_ORDER_CAP
             i = i * b + e
         return i
 
-    def add(i, j):
-        x, y = decode(i), decode(j)
-        return encode(tuple(base.add_i(a, c) for a, c in zip(x, y)))
+    if order <= MATERIALIZE_CAP:
+        ints = list(range(order))
+        base_add, base_mul, base_neg = _table_rows(base)
+        add = _componentwise_rows([base_add] * k, ints)
+        mul = _triangular_mul_rows(base_add, base_mul, base.zero_i, n, ints)
+        neg = _componentwise_list([base_neg] * k, ints)
+    else:
 
-    def neg(i):
-        return encode(tuple(base.neg_i(a) for a in decode(i)))
+        def add(i, j):
+            x, y = decode(i), decode(j)
+            return encode(tuple(base.add_i(a, c) for a, c in zip(x, y)))
 
-    def mul(i, j):
-        x, y = decode(i), decode(j)
-        out = []
-        for (r, c) in positions:
-            acc = base.zero_i
-            for t in range(r, c + 1):
-                acc = base.add_i(acc, base.mul_i(x[pos_index[(r, t)]], y[pos_index[(t, c)]]))
-            out.append(acc)
-        return encode(out)
+        def neg(i):
+            return encode(tuple(base.neg_i(a) for a in decode(i)))
+
+        def mul(i, j):
+            x, y = decode(i), decode(j)
+            out = []
+            for (r, c) in positions:
+                acc = base.zero_i
+                for t in range(r, c + 1):
+                    acc = base.add_i(acc, base.mul_i(x[pos_index[(r, t)]], y[pos_index[(t, c)]]))
+                out.append(acc)
+            return encode(out)
 
     one_entries = [base.one_i if r == c else base.zero_i for (r, c) in positions]
 
@@ -405,19 +549,32 @@ def make_idealization(n: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRin
     def decode(i: int) -> tuple:
         return (i // m, i % m)
 
-    def add(i, j):
-        r, v = decode(i)
-        s, w = decode(j)
-        return ((r + s) % n) * m + (v + w) % m
+    if order <= MATERIALIZE_CAP:
+        ints = list(range(order))
+        add = _componentwise_rows([_zmod_add_rows(n), _zmod_add_rows(m)], ints)
+        neg = _componentwise_list([_zmod_neg(n), _zmod_neg(m)], ints)
+        mul = []
+        for r, v in product(range(n), range(m)):
+            heads = [((r * s) % n) * m for s in range(n)]
+            rw = [r * w for w in range(m)]
+            mul.append(
+                [ints[h + (x + s * v) % m] for s, h in enumerate(heads) for x in rw]
+            )
+    else:
 
-    def mul(i, j):
-        r, v = decode(i)
-        s, w = decode(j)
-        return ((r * s) % n) * m + (r * w + s * v) % m
+        def add(i, j):
+            r, v = decode(i)
+            s, w = decode(j)
+            return ((r + s) % n) * m + (v + w) % m
 
-    def neg(i):
-        r, v = decode(i)
-        return ((-r) % n) * m + (-v) % m
+        def mul(i, j):
+            r, v = decode(i)
+            s, w = decode(j)
+            return ((r * s) % n) * m + (r * w + s * v) % m
+
+        def neg(i):
+            r, v = decode(i)
+            return ((-r) % n) * m + (-v) % m
 
     return FiniteRing(
         order=order,
@@ -458,24 +615,49 @@ def make_morita_zero(a: int, b: int, g: int, cap: int = DEFAULT_ORDER_CAP) -> Fi
     def encode(r, s, mm, nn) -> int:
         return ((r * b + s) * g + mm) * g + nn
 
-    def add(i, j):
-        r1, s1, m1, n1 = decode(i)
-        r2, s2, m2, n2 = decode(j)
-        return encode((r1 + r2) % a, (s1 + s2) % b, (m1 + m2) % g, (n1 + n2) % g)
+    if order <= MATERIALIZE_CAP:
+        ints = list(range(order))
+        slots = (a, b, g, g)
+        add = _componentwise_rows([_zmod_add_rows(q) for q in slots], ints)
+        neg = _componentwise_list([_zmod_neg(q) for q in slots], ints)
+        ra, rb, rg = range(a), range(b), range(g)
+        mul = []
+        for r1, s1, m1, n1 in product(ra, rb, rg, rg):
+            # the product's r and m digits read only r2 and m2 of the right
+            # factor, its s and n digits only s2 and n2
+            heads_r = [encode((r1 * r2) % a, 0, 0, 0) for r2 in ra]
+            strip_m = [[(m1 * r2 + s1 * m2) % g * g for m2 in rg] for r2 in ra]
+            heads_s = [encode(0, (s1 * s2) % b, 0, 0) for s2 in rb]
+            strip_n = [[(r1 * n2 + n1 * s2) % g for n2 in rg] for s2 in rb]
+            mul.append(
+                [
+                    ints[hr + hs + x + y]
+                    for hr, xs in zip(heads_r, strip_m)
+                    for hs, ys in zip(heads_s, strip_n)
+                    for x in xs
+                    for y in ys
+                ]
+            )
+    else:
 
-    def mul(i, j):
-        r1, s1, m1, n1 = decode(i)
-        r2, s2, m2, n2 = decode(j)
-        return encode(
-            (r1 * r2) % a,
-            (s1 * s2) % b,
-            (m1 * r2 + s1 * m2) % g,
-            (r1 * n2 + n1 * s2) % g,
-        )
+        def add(i, j):
+            r1, s1, m1, n1 = decode(i)
+            r2, s2, m2, n2 = decode(j)
+            return encode((r1 + r2) % a, (s1 + s2) % b, (m1 + m2) % g, (n1 + n2) % g)
 
-    def neg(i):
-        r, s, mm, nn = decode(i)
-        return encode((-r) % a, (-s) % b, (-mm) % g, (-nn) % g)
+        def mul(i, j):
+            r1, s1, m1, n1 = decode(i)
+            r2, s2, m2, n2 = decode(j)
+            return encode(
+                (r1 * r2) % a,
+                (s1 * s2) % b,
+                (m1 * r2 + s1 * m2) % g,
+                (r1 * n2 + n1 * s2) % g,
+            )
+
+        def neg(i):
+            r, s, mm, nn = decode(i)
+            return encode((-r) % a, (-s) % b, (-mm) % g, (-nn) % g)
 
     def labeler(i):
         r, s, mm, nn = decode(i)
@@ -542,14 +724,18 @@ def make_quotient(ring: FiniteRing, ideal) -> tuple:
         q_index = {rep: qi for qi, rep in enumerate(reps)}
         index_map = tuple(q_index[rep_of[x]] for x in range(n))
 
-        def qadd(i, j):
-            return index_map[ring.add_i(reps[i], reps[j])]
+        if len(reps) <= MATERIALIZE_CAP:
+            qadd, qmul, qneg = _induced_tables(ring, reps, index_map)
+        else:
 
-        def qmul(i, j):
-            return index_map[ring.mul_i(reps[i], reps[j])]
+            def qadd(i, j):
+                return index_map[ring.add_i(reps[i], reps[j])]
 
-        def qneg(i):
-            return index_map[ring.neg_i(reps[i])]
+            def qmul(i, j):
+                return index_map[ring.mul_i(reps[i], reps[j])]
+
+            def qneg(i):
+                return index_map[ring.neg_i(reps[i])]
 
         gens = ideal.generators if ideal.generators is not None else ideal.indices
         spec = f"Q({ring.spec};[{','.join(str(g) for g in gens)}])"
@@ -598,26 +784,35 @@ class CornerEmbedding:
 
 def make_corner(ring: FiniteRing, e) -> tuple:
     """Corner ring eRe for a nonzero central idempotent e, with its embedding."""
-    from .classify import is_central, is_idempotent
-
     e_i = ring.index_of(e)
     if e_i == ring.zero_i:
         raise BadParameter("corner identity must be nonzero")
-    if not is_idempotent(ring, e_i) or not is_central(ring, e_i):
-        raise NotCentralIdempotent(f"element {e_i} of {ring.spec}")
+    # central: row e of the table equals column e
+    row_e = ring.mul_row(e_i)
+    if row_e[e_i] != e_i or any(
+        row_e[r] != ring.mul_i(r, e_i) for r in range(ring.order)
+    ):
+        raise NotCentralIdempotent(
+            f"C({ring.spec};{e_i}): element {e_i} of {ring.spec} "
+            "is not a central idempotent"
+        )
 
     def build():
         members = sorted({ring.mul_i(ring.mul_i(e_i, x), e_i) for x in range(ring.order)})
         sub = {x: t for t, x in enumerate(members)}
 
-        def cadd(i, j):
-            return sub[ring.add_i(members[i], members[j])]
+        if len(members) <= MATERIALIZE_CAP:
+            cadd, cmul, cneg = _induced_tables(ring, members, sub)
+        else:
 
-        def cmul(i, j):
-            return sub[ring.mul_i(members[i], members[j])]
+            def cadd(i, j):
+                return sub[ring.add_i(members[i], members[j])]
 
-        def cneg(i):
-            return sub[ring.neg_i(members[i])]
+            def cmul(i, j):
+                return sub[ring.mul_i(members[i], members[j])]
+
+            def cneg(i):
+                return sub[ring.neg_i(members[i])]
 
         corner = FiniteRing(
             order=len(members),
@@ -660,34 +855,42 @@ def make_table_ring(add, mul, zero: int, one: int, name: str = "") -> FiniteRing
         one=one,
         spec=name or f"table{order}",
         structure=("table",),
-        add=add,
-        mul=mul,
+        # copied: the ring keeps its tables, and these belong to the caller
+        add=[list(row) for row in add],
+        mul=[list(row) for row in mul],
     )
 
 
-def spec_order(spec: RingSpec) -> int:
+def spec_order(spec: RingSpec, cap=None) -> int:
     """Order the spec would have, before any quotient/corner shrinking.
 
-    Quotients and corners return their base order (an upper bound)."""
+    Quotients and corners return their base order (an upper bound).  With a
+    `cap`, multiplying stops once the running order exceeds it, and the
+    result is only known to be above the cap; this keeps deeply nested specs
+    from growing astronomically large integers."""
     if isinstance(spec, Zmod):
         return spec.n
     if isinstance(spec, Product):
-        out = 1
-        for p in spec.parts:
-            out *= spec_order(p)
-        return out
-    if isinstance(spec, Tri):
+        factors = [spec_order(p, cap) for p in spec.parts]
+    elif isinstance(spec, Tri):
         k = len(TRI_POSITIONS.get(spec.n, ()))
         if k == 0:
             raise BadParameter(f"triangular size must be 2 or 3, got {spec.n}")
-        return spec_order(spec.base) ** k
-    if isinstance(spec, Idealization):
-        return spec.n * spec.m
-    if isinstance(spec, MoritaZero):
-        return spec.a * spec.b * spec.g * spec.g
-    if isinstance(spec, (Quotient, Corner)):
-        return spec_order(spec.base)
-    raise BadParameter(f"unknown spec node {spec!r}")
+        factors = [spec_order(spec.base, cap)] * k
+    elif isinstance(spec, Idealization):
+        factors = [spec.n, spec.m]
+    elif isinstance(spec, MoritaZero):
+        factors = [spec.a, spec.b, spec.g, spec.g]
+    elif isinstance(spec, (Quotient, Corner)):
+        return spec_order(spec.base, cap)
+    else:
+        raise BadParameter(f"unknown spec node {spec!r}")
+    out = 1
+    for f in factors:
+        out *= f
+        if cap is not None and out > cap:
+            break
+    return out
 
 
 def build(spec, caps: Caps = Caps()) -> FiniteRing:
@@ -696,10 +899,8 @@ def build(spec, caps: Caps = Caps()) -> FiniteRing:
         spec = parse_ring_spec(spec)
     if isinstance(spec, FiniteRing):
         return spec
-    if spec_order(spec) > caps.order_cap:
-        raise OrderCapExceeded(
-            f"spec {spec} has order {spec_order(spec)} above cap {caps.order_cap}"
-        )
+    if spec_order(spec, caps.order_cap) > caps.order_cap:
+        raise OrderCapExceeded(f"spec {spec} has order above cap {caps.order_cap}")
     if isinstance(spec, Zmod):
         return make_zmod(spec.n, cap=caps.order_cap)
     if isinstance(spec, Product):

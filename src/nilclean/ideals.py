@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
+from .construct import DEFAULT_IDEAL_CAP
 from .errors import CapExceeded, ElementRingMismatch, NotAnIdeal, NotCentralIdempotent
 from .ring import ElemLike, FiniteRing
-
-DEFAULT_IDEAL_CAP = 512
 
 
 def mask_of(indices: Iterable[int]) -> int:

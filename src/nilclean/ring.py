@@ -1,11 +1,14 @@
 """Finite unital rings with canonical element indexing.
 
-Every ring maps its elements onto the indices ``0 .. order-1``.  Operation
-tables are materialized below :data:`MATERIALIZE_CAP` and computed through
-the constructor's structure above it.  A ring is immutable once built; the
-``cached`` helper backs fill-once memo slots (classifier sets, ideal lists)
-whose fills are pure and idempotent, so concurrent readers are safe even if
-two threads race to fill the same slot.
+Every ring maps its elements onto the indices ``0 .. order-1``.  Up to
+:data:`MATERIALIZE_CAP` the constructors hand in whole Cayley tables, built
+row by row from tables that already exist; above it they hand in closures
+that compute one entry from the constructor's structure.  A ring stores
+what it is given: closures are never materialized into tables.
+
+A ring is immutable once built; the ``cached`` helper backs fill-once memo
+slots (classifier sets, ideal lists) whose fills are pure and idempotent, so
+concurrent readers are safe even if two threads race to fill the same slot.
 """
 
 from __future__ import annotations
@@ -86,7 +89,13 @@ ElemLike = Union[Elem, int]
 
 
 class FiniteRing:
-    """A finite associative ring with unity, elements indexed 0..order-1."""
+    """A finite associative ring with unity, elements indexed 0..order-1.
+
+    `add` and `mul` are either tables (a list of rows, taken as given and
+    never copied) or closures on indices; `neg` is a list, a closure, or
+    None to scan the add table for inverses.  Constructors pass tables up to
+    :data:`MATERIALIZE_CAP` and closures above it.
+    """
 
     __slots__ = (
         "order",
@@ -133,34 +142,18 @@ class FiniteRing:
         self._elems: Optional[list] = None
         self._memo: dict = {}
 
-        materialize = order <= MATERIALIZE_CAP
         if callable(add):
-            self._add_fn = add
-            self._add_rows = (
-                [[add(i, j) for j in range(order)] for i in range(order)]
-                if materialize
-                else None
-            )
+            self._add_fn, self._add_rows = add, None
         else:
-            self._add_rows = [list(row) for row in add]
-            self._add_fn = None
+            self._add_fn, self._add_rows = None, add
         if callable(mul):
-            self._mul_fn = mul
-            self._mul_rows = (
-                [[mul(i, j) for j in range(order)] for i in range(order)]
-                if materialize
-                else None
-            )
+            self._mul_fn, self._mul_rows = mul, None
         else:
-            self._mul_rows = [list(row) for row in mul]
-            self._mul_fn = None
-
+            self._mul_fn, self._mul_rows = None, mul
         if callable(neg):
-            self._neg_fn = neg
-            self._neg_list = [neg(i) for i in range(order)] if materialize else None
+            self._neg_fn, self._neg_list = neg, None
         elif neg is not None:
-            self._neg_list = list(neg)
-            self._neg_fn = None
+            self._neg_fn, self._neg_list = None, neg
         else:
             self._neg_fn = None
             self._neg_list = self._scan_negatives()

@@ -54,6 +54,28 @@ def test_info_order_cap_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("depth", [9, 40])
+def test_deeply_nested_spec_exits_3_at_once(capsys, depth):
+    spec = "T2(" * depth + "Z2" + ")" * depth
+    code, out, err = run_cli(capsys, "info", spec)
+    assert code == 3
+    assert out == ""
+    assert "above cap 4096" in err
+
+
+@pytest.mark.parametrize(
+    "spec,element,base",
+    [("C(Z6;2)", 2, "Z6"), ("C(T2(Z2);4)", 4, "T2(Z2)")],
+)
+def test_corner_at_non_central_idempotent_exits_2(capsys, spec, element, base):
+    code, out, err = run_cli(capsys, "info", spec)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {spec}: element {element} of {base} is not a central idempotent\n"
+    )
+
+
 def test_ideal_nil_clean_counterexample(capsys):
     code, out, _ = run_cli(
         capsys, "ideal", "Z6", "--gens", "2", "--property", "nil-clean",

@@ -27,6 +27,8 @@ from nilclean import (
     units,
     verify_axioms,
 )
+import nilclean.construct as construct_module
+import nilclean.ring as ring_module
 from nilclean.construct import TRI_POSITIONS
 
 from oracles import tri_mat_mul
@@ -234,3 +236,54 @@ def test_product_is_componentwise(n, m):
     assert units(ring) == frozenset(
         a * m + b for a in units(make_zmod(n)) for b in units(make_zmod(m))
     )
+
+
+# Every constructor, and nestings of them, at orders up to 256 (T2 over T2(Z2)
+# has no smaller instance than 512).  T2(C(Z12;4)) is T2 over a corner
+# isomorphic to Z3; 15 in T2(Z2)xZ3 is (identity, 0).
+TABLE_SPECS = (
+    "Z2", "Z12", "Z256",
+    "Z4xZ3", "Z2xZ3xZ5", "Z16xZ16",
+    "T2(Z2)", "T2(Z6)", "T3(Z2)",
+    "Id(4,2)", "Id(6,1)", "Id(8,8)", "Id(16,16)",
+    "MZ(2,4,1)", "MZ(4,2,2)", "MZ(3,6,3)", "MZ(4,4,4)",
+    "Q(Z12;[6])", "Q(Z4xZ6;[3])", "Q(T2(Z4);[1])", "Q(MZ(4,4,2);[5])",
+    "C(Z6;3)", "C(Z12;4)", "C(T2(Z2)xZ3;15)",
+    "T2(Z2xZ3)", "T2(Q(Z12;[4]))", "T2(C(Z12;4))", "T2(Id(2,2))",
+    "T2(T2(Z2))", "T2(Z2)xZ3", "Z2xT2(Z3)",
+)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_tables_match_per_entry_closures(spec, monkeypatch):
+    """The row builders agree entry for entry with the per-entry closures
+    that constructors hand in above MATERIALIZE_CAP."""
+    fast = build(spec)
+    n = fast.order
+    monkeypatch.setattr(ring_module, "MATERIALIZE_CAP", n - 1)
+    monkeypatch.setattr(construct_module, "MATERIALIZE_CAP", n - 1)
+    ref = build(spec)
+    assert ref.order == n
+    assert (fast.zero_i, fast.one_i) == (ref.zero_i, ref.one_i)
+    every = range(n)
+    for i in every:
+        assert fast.add_row(i) == [ref.add_i(i, j) for j in every], (spec, i)
+        assert fast.mul_row(i) == [ref.mul_i(i, j) for j in every], (spec, i)
+    assert [fast.neg_i(i) for i in every] == [ref.neg_i(i) for i in every]
+    assert [fast.label(i) for i in every] == [ref.label(i) for i in every]
+
+
+@pytest.mark.parametrize("spec", ["Q(Z4xZ6;[3])", "C(T2(Z2)xZ3;15)"])
+def test_induced_tables_over_a_parent_without_tables(spec, monkeypatch):
+    """A quotient or corner small enough for tables, over a parent above the
+    cap, is built entry by entry and still matches the default build."""
+    fast = build(spec)
+    monkeypatch.setattr(ring_module, "MATERIALIZE_CAP", fast.order)
+    monkeypatch.setattr(construct_module, "MATERIALIZE_CAP", fast.order)
+    other = build(spec)
+    assert other.structure[1].order > fast.order
+    every = range(fast.order)
+    for i in every:
+        assert other.add_row(i) == fast.add_row(i)
+        assert other.mul_row(i) == fast.mul_row(i)
+    assert [other.neg_i(i) for i in every] == [fast.neg_i(i) for i in every]
