@@ -99,12 +99,13 @@ def _ring_info_payload(ring: FiniteRing) -> dict:
         "units_count": len(units(ring)),
         "idempotents_count": len(idempotents(ring)),
         "nilpotents_count": len(nilpotents(ring)),
-        "jacobson": sorted(jacobson_radical(ring).indices),
+        "jacobson_count": len(jacobson_radical(ring)),
         "nil_clean_ring": is_nil_clean_ring(ring),
     }
     if ring.order <= MEMBER_LIST_LIMIT:
         payload["idempotents"] = sorted(idempotents(ring))
         payload["nilpotents"] = sorted(nilpotents(ring))
+        payload["jacobson"] = sorted(jacobson_radical(ring).indices)
     return payload
 
 
@@ -120,7 +121,7 @@ def _emit_ring_info(ring: FiniteRing, fmt: str) -> None:
         ("units", str(payload["units_count"])),
         ("idempotents", _set_text(payload, "idempotents", "idempotents_count")),
         ("nilpotents", _set_text(payload, "nilpotents", "nilpotents_count")),
-        ("jacobson", "{" + ",".join(map(str, payload["jacobson"])) + "}"),
+        ("jacobson", _set_text(payload, "jacobson", "jacobson_count")),
         ("nil-clean ring", str(payload["nil_clean_ring"]).lower()),
     ]
     _print_kv(pairs)

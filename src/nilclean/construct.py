@@ -700,13 +700,12 @@ def make_quotient(ring: FiniteRing, ideal) -> tuple:
     """Quotient ring with smallest-index coset representatives, plus the map.
 
     Memoized on the parent ring keyed by the ideal's membership mask, so
-    repeated quotients by the same ideal share one object.
+    repeated quotients by the same ideal share one object.  The ideal is not
+    re-verified: an ``Ideal`` is verified when it is made, or built by an
+    ``ideals`` function whose result is an ideal by construction.
     """
-    from .ideals import Ideal, verify_ideal
-
     if ideal.ring is not ring:
         raise BadParameter("ideal belongs to a different ring")
-    verify_ideal(ring, ideal.mask)
     if ideal.mask == (1 << ring.order) - 1:
         raise BadParameter("quotient by the whole ring would be the zero ring")
 

@@ -11,9 +11,7 @@ that inversion is the harness's core contract.
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -89,11 +87,10 @@ DEFAULT_FAMILY: Tuple[str, ...] = (
 
 @dataclass
 class SuiteConfig:
-    """Configuration for a full run: ring family, caps, worker count."""
+    """Configuration for a full run: ring family and caps."""
 
     family: Sequence = DEFAULT_FAMILY
     caps: Caps = field(default_factory=Caps)
-    threads: Optional[int] = None  # None -> NILCLEAN_THREADS env var, else 1
 
 
 @dataclass
@@ -140,6 +137,50 @@ class CheckDef:
     fn: Callable
 
 
+CHECKS: Dict[str, CheckDef] = {}
+
+# yielded by a check for an instance whose hypothesis fails
+SKIP = object()
+
+
+def _register(check_id: str, statement: str, commutative_only: bool = False):
+    """Register fn(rings, caps) -> CheckOutcome under check_id."""
+
+    def register(fn: Callable) -> Callable:
+        CHECKS[check_id] = CheckDef(check_id, statement, commutative_only, fn)
+        return fn
+
+    return register
+
+
+def _check(check_id: str, statement: str, commutative_only: bool = False):
+    """Register a check written as a generator over its instances.
+
+    Per instance the generator yields SKIP when the hypothesis fails, None
+    when the conclusion holds, or a witness dict, which ends the check.  Its
+    return value becomes the outcome's details.
+    """
+
+    def register(instances: Callable) -> Callable:
+        def tally(rings, caps) -> CheckOutcome:
+            tested = met = 0
+            verdicts = instances(rings, caps)
+            while True:
+                try:
+                    verdict = next(verdicts)
+                except StopIteration as done:
+                    return CheckOutcome(tested, met, details=done.value)
+                tested += 1
+                if verdict is not SKIP:
+                    met += 1
+                    if verdict is not None:
+                        return CheckOutcome(tested, met, verdict)
+
+        return _register(check_id, statement, commutative_only)(tally)
+
+    return register
+
+
 def _w(ring: FiniteRing, reason: str, ideal=None, element=None, **extra) -> dict:
     out: dict = {"ring": ring.spec, "reason": reason}
     if ideal is not None:
@@ -149,6 +190,19 @@ def _w(ring: FiniteRing, reason: str, ideal=None, element=None, **extra) -> dict
         out["element_label"] = ring.label(element)
     out.update(extra)
     return out
+
+
+def _unless(ok: bool, ring: FiniteRing, reason: str, ideal=None, element=None, **extra):
+    """None when an implication's conclusion holds, else its witness."""
+    return None if ok else _w(ring, reason, ideal, element, **extra)
+
+
+def _iff(lhs: bool, rhs: bool, ring: FiniteRing, reason: str, ideal=None, **extra):
+    """None when the two sides agree, else a witness naming the failing direction."""
+    if lhs == rhs:
+        return None
+    direction = "forward" if lhs else "backward"
+    return _w(ring, reason, ideal, **extra, direction=direction)
 
 
 def _ideals(ring: FiniteRing, caps: Caps) -> List[Ideal]:
@@ -185,42 +239,29 @@ def _tri_full_ideal(tri: FiniteRing, base_ideal: Ideal) -> Ideal:
 
 def _tri2_pair_ideal(tri: FiniteRing, left: Ideal, right: Ideal) -> Ideal:
     # members (a, b, d) with a in left, d in right, middle entry free
-    members = []
-    for i in range(tri.order):
-        a, _, d = tri.decode(i)
-        if a in left and d in right:
-            members.append(i)
+    entries = map(tri.decode, range(tri.order))
+    members = [i for i, (a, _, d) in enumerate(entries) if a in left and d in right]
     return Ideal.from_members(tri, members)
 
 
 def _idealization_ideal(ring: FiniteRing, base_ideal: Ideal, d: int) -> Ideal:
-    _, _, m = ring.structure
-    members = []
-    for i in range(ring.order):
-        r, v = ring.decode(i)
-        if r in base_ideal and v % d == 0:
-            members.append(i)
+    pairs = map(ring.decode, range(ring.order))
+    members = [i for i, (r, v) in enumerate(pairs) if r in base_ideal and v % d == 0]
     return Ideal.from_members(ring, members)
 
 
 def _morita_projections(ring: FiniteRing, ideal: Ideal):
-    a1, b1, m1, n1 = set(), set(), set(), set()
-    for i in ideal.indices:
-        r, s, m, n = ring.decode(i)
-        a1.add(r)
-        b1.add(s)
-        m1.add(m)
-        n1.add(n)
-    return a1, b1, m1, n1
+    """The entries the ideal's members take in each of the four blocks."""
+    return tuple(map(set, zip(*map(ring.decode, ideal.indices))))
 
 
 def _morita_block_members(ring: FiniteRing, a1, b1, m1, n1) -> List[int]:
-    out = []
-    for i in range(ring.order):
-        r, s, m, n = ring.decode(i)
-        if r in a1 and s in b1 and m in m1 and n in n1:
-            out.append(i)
-    return out
+    blocks = enumerate(map(ring.decode, range(ring.order)))
+    return [
+        i
+        for i, (r, s, m, n) in blocks
+        if r in a1 and s in b1 and m in m1 and n in n1
+    ]
 
 
 def _subgroups_mod(g: int) -> List[frozenset]:
@@ -228,383 +269,280 @@ def _subgroups_mod(g: int) -> List[frozenset]:
 
 
 # --------------------------------------------------------------------------
-# the checks
+# the checks, each a generator over its instances (see _check)
 
 
-def _check_l1(rings, caps) -> CheckOutcome:
-    inst = hyp = clean_not_nil = 0
+def _is_boolean_image(projection, ideal: Ideal) -> bool:
+    """Whether every member of the ideal's image is idempotent."""
+    image = image_ideal(projection, ideal)
+    return all(image.ring.mul_i(x, x) == x for x in image.indices)
+
+
+def _nil_or_witness(ring: FiniteRing, part: Ideal, reason: str, ideal: Ideal):
+    """None when part is a nil ideal, else a witness naming a non-nilpotent."""
+    if is_nil_ideal(part):
+        return None
+    bad = next(x for x in part.indices if nilpotency_index(ring, x) is None)
+    return _w(ring, reason, ideal, bad)
+
+
+def _clean_pair_failure(ring: FiniteRing, ideal: Ideal):
+    """Check the constructive pair: if -x = e + n then (1-e) + (-1-n) = x."""
+    one = ring.one_i
+    for x in ideal.indices:
+        for d in nil_clean_decompositions(ring, ring.neg_i(x)):
+            em = ring.sub_i(one, d.idempotent.index)
+            um = ring.neg_i(ring.add_i(one, d.second.index))
+            if (
+                ring.add_i(em, um) != x
+                or ring.mul_i(em, em) != em
+                or um not in units(ring)
+            ):
+                reason = "constructed clean pair fails"
+                return _w(ring, reason, ideal, x, idempotent=em, unit=um)
+    return None
+
+
+@_check("L1", "every nil-clean ideal is a clean ideal")
+def _check_l1(rings, caps):
+    clean_not_nil = 0
     for ring in rings:
-        one = ring.one_i
         for ideal in _ideals(ring, caps):
-            inst += 1
             nil_clean = is_nil_clean_ideal(ideal)
-            if is_clean_ideal(ideal) and not nil_clean:
-                clean_not_nil += 1
+            clean = is_clean_ideal(ideal)
+            clean_not_nil += clean and not nil_clean
             if not nil_clean:
-                continue
-            hyp += 1
-            if not is_clean_ideal(ideal):
+                yield SKIP
+            elif not clean:
                 bad = next(
                     x for x in ideal.indices if not clean_decompositions(ring, x)
                 )
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "nil-clean ideal with a non-clean member", ideal, bad),
-                )
-            # the constructive pair: if -x = e + n then (1-e) + (-1-n) = x
-            for x in ideal.indices:
-                for d in nil_clean_decompositions(ring, ring.neg_i(x)):
-                    e, n = d.idempotent.index, d.second.index
-                    em = ring.sub_i(one, e)
-                    um = ring.neg_i(ring.add_i(one, n))
-                    if (
-                        ring.add_i(em, um) != x
-                        or ring.mul_i(em, em) != em
-                        or um not in units(ring)
-                    ):
-                        return CheckOutcome(
-                            inst,
-                            hyp,
-                            _w(
-                                ring,
-                                "constructed clean pair fails",
-                                ideal,
-                                x,
-                                idempotent=em,
-                                unit=um,
-                            ),
-                        )
-    return CheckOutcome(inst, hyp, details={"clean_but_not_nil_clean": clean_not_nil})
+                yield _w(ring, "nil-clean ideal with a non-clean member", ideal, bad)
+            else:
+                yield _clean_pair_failure(ring, ideal)
+    return {"clean_but_not_nil_clean": clean_not_nil}
 
 
-def _check_ppp1(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("PPP1", "a nil-clean ideal meets the radical in a nil ideal")
+def _check_ppp1(rings, caps):
     for ring in rings:
         radical = jacobson_radical(ring)
         for ideal in _ideals(ring, caps):
-            inst += 1
             if not is_nil_clean_ideal(ideal):
+                yield SKIP
                 continue
-            hyp += 1
             meet = ideal_intersect(ideal, radical)
-            if not is_nil_ideal(meet):
-                bad = next(
-                    x for x in meet.indices if nilpotency_index(ring, x) is None
-                )
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "radical meet contains a non-nilpotent", ideal, bad),
-                )
-    return CheckOutcome(inst, hyp)
+            reason = "radical meet contains a non-nilpotent"
+            yield _nil_or_witness(ring, meet, reason, ideal)
 
 
-def _check_ppp1_cor(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("PPP1_cor", "in a nil-clean ring the radical sits inside the nilpotents")
+def _check_ppp1_cor(rings, caps):
     for ring in rings:
-        inst += 1
         if not is_nil_clean_ring(ring):
+            yield SKIP
             continue
-        hyp += 1
         radical = jacobson_radical(ring)
         nil = nilpotents(ring)
-        for x in radical.indices:
-            if x not in nil:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "radical member outside the nilpotents", radical, x),
-                )
-    return CheckOutcome(inst, hyp)
+        bad = next((x for x in radical.indices if x not in nil), None)
+        reason = "radical member outside the nilpotents"
+        yield _unless(bad is None, ring, reason, radical, bad)
 
 
-def _check_prod_ideals(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check(
+    "prod_ideals",
+    "products of nil-clean ideals stay nil-clean (commutative)",
+    commutative_only=True,
+)
+def _check_prod_ideals(rings, caps):
     for ring in rings:
         ideals = _ideals(ring, caps)
         for left, right in itertools.combinations_with_replacement(ideals, 2):
-            inst += 1
             if not (is_nil_clean_ideal(left) and is_nil_clean_ideal(right)):
+                yield SKIP
                 continue
-            hyp += 1
             product = ideal_product(left, right)
-            if not is_nil_clean_ideal(product):
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "product of nil-clean ideals is not nil-clean", product),
-                )
-    return CheckOutcome(inst, hyp)
+            reason = "product of nil-clean ideals is not nil-clean"
+            yield _unless(is_nil_clean_ideal(product), ring, reason, product)
 
 
-def _check_strong_iff(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("strong_iff", "strongly nil-clean = strongly clean with nilpotent a - a^2")
+def _check_strong_iff(rings, caps):
+    reason = "strongly nil-clean disagrees with strongly clean + nilpotent defect"
     for ring in rings:
         for ideal in _ideals(ring, caps):
-            inst += 1
-            hyp += 1
             lhs = is_strongly_nil_clean_ideal(ideal)
             rhs = is_strongly_clean_ideal(ideal) and all(
                 nilpotency_index(ring, ring.sub_i(x, ring.mul_i(x, x))) is not None
                 for x in ideal.indices
             )
-            if lhs != rhs:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(
-                        ring,
-                        "strongly nil-clean disagrees with strongly clean + nilpotent defect",
-                        ideal,
-                        direction="forward" if lhs else "backward",
-                    ),
-                )
-    return CheckOutcome(inst, hyp)
+            yield _iff(lhs, rhs, ring, reason, ideal)
 
 
-def _check_strong_unique(rings, caps) -> CheckOutcome:
-    inst = hyp = divergences = 0
+@_check(
+    "strong_unique", "strongly nil-clean ideals are uniquely strongly (nil-)clean"
+)
+def _check_strong_unique(rings, caps):
+    divergences = 0
     for ring in rings:
         for ideal in _ideals(ring, caps):
-            inst += 1
-            if is_uniquely_nil_clean_ideal(ideal) != is_uniquely_strongly_nil_clean_ideal(
-                ideal
-            ):
-                divergences += 1
+            unique = is_uniquely_nil_clean_ideal(ideal)
+            divergences += unique != is_uniquely_strongly_nil_clean_ideal(ideal)
             if not is_strongly_nil_clean_ideal(ideal):
-                continue
-            hyp += 1
-            if not is_uniquely_strongly_nil_clean_ideal(ideal):
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "strongly nil-clean but not uniquely so", ideal),
-                )
-            if not is_uniquely_strongly_clean_ideal(ideal):
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "strongly nil-clean but not uniquely strongly clean", ideal),
-                )
-    return CheckOutcome(
-        inst, hyp, details={"unique_vs_strongly_unique_divergences": divergences}
-    )
+                yield SKIP
+            elif not is_uniquely_strongly_nil_clean_ideal(ideal):
+                yield _w(ring, "strongly nil-clean but not uniquely so", ideal)
+            else:
+                ok = is_uniquely_strongly_clean_ideal(ideal)
+                reason = "strongly nil-clean but not uniquely strongly clean"
+                yield _unless(ok, ring, reason, ideal)
+    return {"unique_vs_strongly_unique_divergences": divergences}
 
 
-def _check_ttt1(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check(
+    "TTT1",
+    "with the radical inside: nil-clean = boolean modulo a nil radical",
+    commutative_only=True,
+)
+def _check_ttt1(rings, caps):
+    reason = "boolean-modulo-radical disagrees with nil-clean"
     for ring in rings:
         radical = jacobson_radical(ring)
         radical_nil = is_nil_ideal(radical)
         _, projection = make_quotient(ring, radical)
         for ideal in _ideals(ring, caps):
-            inst += 1
             if ideal.mask & radical.mask != radical.mask:
-                continue  # needs the radical inside the ideal
-            hyp += 1
-            image = image_ideal(projection, ideal)
-            lhs = radical_nil and all(
-                image.ring.mul_i(x, x) == x for x in image.indices
-            )
-            rhs = is_nil_clean_ideal(ideal)
-            if lhs != rhs:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(
-                        ring,
-                        "boolean-modulo-radical disagrees with nil-clean",
-                        ideal,
-                        direction="forward" if lhs else "backward",
-                    ),
-                )
-    return CheckOutcome(inst, hyp)
+                yield SKIP  # needs the radical inside the ideal
+                continue
+            lhs = radical_nil and _is_boolean_image(projection, ideal)
+            yield _iff(lhs, is_nil_clean_ideal(ideal), ring, reason, ideal)
 
 
-def _check_central_idem(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("central_idem", "idempotents of uniquely nil-clean ideals are central")
+def _check_central_idem(rings, caps):
+    reason = "non-central idempotent in a uniquely nil-clean ideal"
     for ring in rings:
         idem = idempotents(ring)
         for ideal in _ideals(ring, caps):
-            inst += 1
             if not is_uniquely_nil_clean_ideal(ideal):
+                yield SKIP
                 continue
-            hyp += 1
-            for x in ideal.indices:
-                if x in idem and not is_central(ring, x):
-                    return CheckOutcome(
-                        inst,
-                        hyp,
-                        _w(
-                            ring,
-                            "non-central idempotent in a uniquely nil-clean ideal",
-                            ideal,
-                            x,
-                        ),
-                    )
-    return CheckOutcome(inst, hyp)
+            bad = next(
+                (x for x in ideal.indices if x in idem and not is_central(ring, x)),
+                None,
+            )
+            yield _unless(bad is None, ring, reason, ideal, bad)
 
 
-def _check_main1(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("main1", "nil-clean ideals split with both parts inside the ideal")
+def _check_main1(rings, caps):
+    reason = "nil-clean disagrees with both-parts-inside splitting"
     for ring in rings:
         for ideal in _ideals(ring, caps):
-            inst += 1
-            hyp += 1
             lhs = is_nil_clean_ideal(ideal)
-            rhs = all(
-                decomposition_within_ideal(ideal, x) for x in ideal.indices
+            bad = next(
+                (
+                    x
+                    for x in ideal.indices
+                    if not decomposition_within_ideal(ideal, x)
+                ),
+                None,
             )
-            if lhs != rhs:
-                bad = next(
-                    (
-                        x
-                        for x in ideal.indices
-                        if not decomposition_within_ideal(ideal, x)
-                    ),
-                    None,
-                )
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(
-                        ring,
-                        "nil-clean disagrees with both-parts-inside splitting",
-                        ideal,
-                        bad,
-                    ),
-                )
-    return CheckOutcome(inst, hyp)
+            yield _unless(lhs == (bad is None), ring, reason, ideal, bad)
 
 
-def _check_local_cor(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check(
+    "local_cor", "without nontrivial idempotents, proper nil-clean ideals are nil"
+)
+def _check_local_cor(rings, caps):
+    reason = "proper nil-clean ideal that is not nil"
     for ring in rings:
         if idempotents(ring) != frozenset({ring.zero_i, ring.one_i}):
             continue
         for ideal in _ideals(ring, caps):
-            inst += 1
-            if not (ideal.is_proper and is_nil_clean_ideal(ideal)):
-                continue
-            hyp += 1
-            if not is_nil_ideal(ideal):
-                bad = next(
-                    x for x in ideal.indices if nilpotency_index(ring, x) is None
-                )
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "proper nil-clean ideal that is not nil", ideal, bad),
-                )
-    return CheckOutcome(inst, hyp)
+            if ideal.is_proper and is_nil_clean_ideal(ideal):
+                yield _nil_or_witness(ring, ideal, reason, ideal)
+            else:
+                yield SKIP
 
 
-def _check_mmm(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check(
+    "mmm",
+    "nil-clean = boolean modulo a nil meet with the radical (commutative)",
+    commutative_only=True,
+)
+def _check_mmm(rings, caps):
+    reason = "nil-clean disagrees with boolean-modulo-meet splitting"
     for ring in rings:
         radical = jacobson_radical(ring)
         for ideal in _ideals(ring, caps):
-            inst += 1
-            hyp += 1
             meet = ideal_intersect(ideal, radical)
             _, projection = make_quotient(ring, meet)
-            image = image_ideal(projection, ideal)
             lhs = is_nil_clean_ideal(ideal)
-            rhs = is_nil_ideal(meet) and all(
-                image.ring.mul_i(x, x) == x for x in image.indices
-            )
-            if lhs != rhs:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(
-                        ring,
-                        "nil-clean disagrees with boolean-modulo-meet splitting",
-                        ideal,
-                        direction="forward" if lhs else "backward",
-                    ),
-                )
-    return CheckOutcome(inst, hyp)
+            rhs = is_nil_ideal(meet) and _is_boolean_image(projection, ideal)
+            yield _iff(lhs, rhs, ring, reason, ideal)
 
 
-def _check_main(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+def _generates_nil_clean(ring: FiniteRing, e: int) -> bool:
+    return is_nil_clean_ideal(ideal_generated(ring, [e]))
+
+
+@_check(
+    "main",
+    "nil-clean ring = some central idempotent splits it into nil-clean ideals",
+)
+def _check_main(rings, caps):
+    reason = "splitting central idempotent disagrees with nil-clean ring"
     for ring in rings:
-        inst += 1
-        hyp += 1
-        exists = False
-        for e in sorted(idempotents(ring) & center(ring)):
-            part = ideal_generated(ring, [e])
-            co_part = ideal_generated(ring, [ring.sub_i(ring.one_i, e)])
-            if is_nil_clean_ideal(part) and is_nil_clean_ideal(co_part):
-                exists = True
-                break
-        if exists != is_nil_clean_ring(ring):
-            return CheckOutcome(
-                inst,
-                hyp,
-                _w(
-                    ring,
-                    "splitting central idempotent disagrees with nil-clean ring",
-                    direction="forward" if exists else "backward",
-                ),
-            )
-    return CheckOutcome(inst, hyp)
-
-
-def _check_complete_set(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
-    for ring in rings:
-        inst += 1
-        hyp += 1
         exists = any(
-            all(is_nil_clean_ideal(ideal_generated(ring, [e])) for e in combo)
+            _generates_nil_clean(ring, e)
+            and _generates_nil_clean(ring, ring.sub_i(ring.one_i, e))
+            for e in sorted(idempotents(ring) & center(ring))
+        )
+        yield _iff(exists, is_nil_clean_ring(ring), ring, reason)
+
+
+@_check(
+    "complete_set",
+    "nil-clean ring = a complete central set generates nil-clean ideals",
+)
+def _check_complete_set(rings, caps):
+    reason = "complete-set generation disagrees with nil-clean ring"
+    for ring in rings:
+        exists = any(
+            all(_generates_nil_clean(ring, e) for e in combo)
             for combo in complete_orthogonal_central_sets(ring)
         )
-        if exists != is_nil_clean_ring(ring):
-            return CheckOutcome(
-                inst,
-                hyp,
-                _w(
-                    ring,
-                    "complete-set generation disagrees with nil-clean ring",
-                    direction="forward" if exists else "backward",
-                ),
-            )
-    return CheckOutcome(inst, hyp)
+        yield _iff(exists, is_nil_clean_ring(ring), ring, reason)
 
 
-def _check_corner(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("corner", "nil-clean ideal = nil-clean in every corner of a complete set")
+def _check_corner(rings, caps):
     for ring in rings:
         combos = complete_orthogonal_central_sets(ring)
         for ideal in _ideals(ring, caps):
-            inst += 1
-            hyp += 1
             lhs = is_nil_clean_ideal(ideal)
             rhs = any(
-                all(
-                    is_nil_clean_ideal(corner_ideal(ring, e, ideal)) for e in combo
-                )
+                all(is_nil_clean_ideal(corner_ideal(ring, e, ideal)) for e in combo)
                 for combo in combos
             )
-            if lhs != rhs:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(
-                        ring,
-                        "corner cuts disagree with nil-clean",
-                        ideal,
-                        direction="forward" if lhs else "backward",
-                    ),
-                )
-    return CheckOutcome(inst, hyp)
+            yield _iff(lhs, rhs, ring, "corner cuts disagree with nil-clean", ideal)
 
 
-def _check_lift_mod_nil(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+def _lift_failure(ring: FiniteRing, nil: Ideal, outer: Ideal):
+    """Exercise the idempotent lifting the backward direction uses."""
+    for x in outer.indices:
+        if ring.sub_i(ring.mul_i(x, x), x) in nil:
+            try:
+                lift_idempotent_mod_nil(ring, nil, x)
+            except NilCleanError as exc:
+                return _w(ring, f"idempotent lift failed: {exc}", outer, x)
+    return None
+
+
+@_check("lift_mod_nil", "nil-clean transfers both ways across a nil-ideal quotient")
+def _check_lift_mod_nil(rings, caps):
+    reason = "nil-clean does not transfer along the nil quotient"
     for ring in rings:
         ideals = _ideals(ring, caps)
         for nil in (i for i in ideals if is_nil_ideal(i)):
@@ -612,356 +550,209 @@ def _check_lift_mod_nil(rings, caps) -> CheckOutcome:
             for outer in ideals:
                 if outer.mask & nil.mask != nil.mask:
                     continue
-                inst += 1
-                hyp += 1
-                image = image_ideal(projection, outer)
                 lhs = is_nil_clean_ideal(outer)
-                rhs = is_nil_clean_ideal(image)
-                if lhs != rhs:
-                    return CheckOutcome(
-                        inst,
-                        hyp,
-                        _w(
-                            ring,
-                            "nil-clean does not transfer along the nil quotient",
-                            outer,
-                            modulo=sorted(nil.indices),
-                            direction="forward" if lhs else "backward",
-                        ),
-                    )
-                # exercise the lifting mechanism the backward direction uses
-                for x in outer.indices:
-                    if ring.sub_i(ring.mul_i(x, x), x) in nil:
-                        try:
-                            lift_idempotent_mod_nil(ring, nil, x)
-                        except NilCleanError as exc:
-                            return CheckOutcome(
-                                inst,
-                                hyp,
-                                _w(
-                                    ring,
-                                    f"idempotent lift failed: {exc}",
-                                    outer,
-                                    x,
-                                ),
-                            )
-    return CheckOutcome(inst, hyp)
+                rhs = is_nil_clean_ideal(image_ideal(projection, outer))
+                modulo = sorted(nil.indices)
+                witness = _iff(lhs, rhs, ring, reason, outer, modulo=modulo)
+                yield witness or _lift_failure(ring, nil, outer)
 
 
-def _check_hom_image(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("hom_image", "projections of nil-clean ideals are nil-clean")
+def _check_hom_image(rings, caps):
+    reason = "projected nil-clean ideal stops being nil-clean"
     for ring in rings:
         ideals = _ideals(ring, caps)
-        for kernel in ideals:
-            if not kernel.is_proper:
-                continue
+        for kernel in (k for k in ideals if k.is_proper):
             _, projection = make_quotient(ring, kernel)
+            members = sorted(kernel.indices)
             for ideal in ideals:
-                inst += 1
                 if not is_nil_clean_ideal(ideal):
+                    yield SKIP
                     continue
-                hyp += 1
                 image = image_ideal(projection, ideal)
-                if not is_nil_clean_ideal(image):
-                    return CheckOutcome(
-                        inst,
-                        hyp,
-                        _w(
-                            ring,
-                            "projected nil-clean ideal stops being nil-clean",
-                            ideal,
-                            kernel=sorted(kernel.indices),
-                        ),
-                    )
-    return CheckOutcome(inst, hyp)
+                ok = is_nil_clean_ideal(image)
+                yield _unless(ok, ring, reason, ideal, kernel=members)
 
 
-def _check_fin_prod(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("fin_prod", "finite product ideals are nil-clean iff every component is")
+def _check_fin_prod(rings, caps):
+    reason = "componentwise nil-clean disagrees with the product ideal"
     for ring in _of_structure(rings, "product"):
-        parts = ring.structure[1]
-        per_part = [_ideals(part, caps) for part in parts]
+        per_part = [_ideals(part, caps) for part in ring.structure[1]]
         for combo in itertools.product(*per_part):
-            inst += 1
-            hyp += 1
             product = _product_ideal(ring, combo)
             lhs = all(is_nil_clean_ideal(c) for c in combo)
             rhs = is_nil_clean_ideal(product)
-            if lhs != rhs:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(
-                        ring,
-                        "componentwise nil-clean disagrees with the product ideal",
-                        product,
-                        direction="forward" if lhs else "backward",
-                    ),
-                )
-    return CheckOutcome(inst, hyp)
+            yield _iff(lhs, rhs, ring, reason, product)
 
 
-def _check_dirsum(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check(
+    "dirsum",
+    "a nil-clean-by-not product ring is not nil-clean but its first strip is",
+)
+def _check_dirsum(rings, caps):
     for ring in _of_structure(rings, "product"):
         parts = ring.structure[1]
         if len(parts) != 2:
             continue
-        inst += 1
         first, second = parts
         if not (is_nil_clean_ring(first) and not is_nil_clean_ring(second)):
-            continue
-        hyp += 1
-        if is_nil_clean_ring(ring):
-            return CheckOutcome(
-                inst, hyp, _w(ring, "mixed product ring is unexpectedly nil-clean")
-            )
-        strip = _product_ideal(ring, [unit_ideal(first), zero_ideal(second)])
-        if not is_nil_clean_ideal(strip):
-            return CheckOutcome(
-                inst,
-                hyp,
-                _w(ring, "first-factor strip is not a nil-clean ideal", strip),
-            )
-    return CheckOutcome(inst, hyp)
+            yield SKIP
+        elif is_nil_clean_ring(ring):
+            yield _w(ring, "mixed product ring is unexpectedly nil-clean")
+        else:
+            strip = _product_ideal(ring, [unit_ideal(first), zero_ideal(second)])
+            reason = "first-factor strip is not a nil-clean ideal"
+            yield _unless(is_nil_clean_ideal(strip), ring, reason, strip)
 
 
-def _check_nilindex_growth(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("nilindex_growth", "the nilpotency index of 2 modulo 2^n is exactly n")
+def _check_nilindex_growth(rings, caps):
     for n in range(1, 11):
-        inst += 1
-        hyp += 1
         modulus = 2 ** n
         ring = make_zmod(modulus, cap=max(caps.order_cap, modulus))
         index = nilpotency_index(ring, 2 % modulus)
-        if index != n:
-            return CheckOutcome(
-                inst,
-                hyp,
-                _w(ring, f"index of 2 is {index}, expected {n}", element=2 % modulus),
-            )
-    return CheckOutcome(inst, hyp)
+        reason = f"index of 2 is {index}, expected {n}"
+        yield _unless(index == n, ring, reason, element=2 % modulus)
 
 
-def _check_d211(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("D211", "triangular idempotents/nilpotents are controlled by the diagonal")
+def _check_d211(rings, caps):
     for tri in _of_structure(rings, "tri"):
         n, base = tri.structure[1], tri.structure[2]
-        diag_slots = [
-            t for t, (r, c) in enumerate(TRI_POSITIONS[n]) if r == c
-        ]
+        diag_slots = [t for t, (r, c) in enumerate(TRI_POSITIONS[n]) if r == c]
         for i in range(tri.order):
-            inst += 1
-            hyp += 1
             entries = tri.decode(i)
             diag = [entries[t] for t in diag_slots]
-            if is_idempotent(tri, i) and any(
-                base.mul_i(d, d) != d for d in diag
-            ):
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(tri, "idempotent matrix with non-idempotent diagonal", element=i),
-                )
+            if is_idempotent(tri, i) and any(base.mul_i(d, d) != d for d in diag):
+                reason = "idempotent matrix with non-idempotent diagonal"
+                yield _w(tri, reason, element=i)
+                continue
             lhs = nilpotency_index(tri, i) is not None
             rhs = all(nilpotency_index(base, d) is not None for d in diag)
-            if lhs != rhs:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(
-                        tri,
-                        "matrix nilpotency disagrees with diagonal nilpotency",
-                        element=i,
-                    ),
-                )
-    return CheckOutcome(inst, hyp)
+            reason = "matrix nilpotency disagrees with diagonal nilpotency"
+            yield _unless(lhs == rhs, tri, reason, element=i)
 
 
-def _check_tt1(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("TT1", "entrywise triangular ideals are nil-clean iff the base ideal is")
+def _check_tt1(rings, caps):
+    reason = "entrywise ideal disagrees with its base ideal"
     for tri in _of_structure(rings, "tri"):
-        base = tri.structure[2]
-        for ideal in _ideals(base, caps):
-            inst += 1
-            hyp += 1
+        for ideal in _ideals(tri.structure[2], caps):
             lifted = _tri_full_ideal(tri, ideal)
             lhs = is_nil_clean_ideal(ideal)
             rhs = is_nil_clean_ideal(lifted)
-            if lhs != rhs:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(
-                        tri,
-                        "entrywise ideal disagrees with its base ideal",
-                        lifted,
-                        base_ideal=sorted(ideal.indices),
-                        direction="forward" if lhs else "backward",
-                    ),
-                )
-    return CheckOutcome(inst, hyp)
+            base_ideal = sorted(ideal.indices)
+            yield _iff(lhs, rhs, tri, reason, lifted, base_ideal=base_ideal)
 
 
-def _check_rm(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+def _idealization_failure(ring: FiniteRing, base: FiniteRing, i: int):
+    _, n, m = ring.structure
+    r, v = ring.decode(i)
+    for k in range(1, 9):
+        expected = (pow(r, k, n)) * m + (k * pow(r, k - 1, n) * v) % m
+        if ring.pow_i(i, k) != expected:
+            return _w(ring, f"power formula fails at exponent {k}", element=i)
+    pair_nil = nilpotency_index(ring, i) is not None
+    first_nil = nilpotency_index(base, r) is not None
+    if pair_nil != first_nil:
+        reason = "nilpotency does not reduce to the first coordinate"
+        return _w(ring, reason, element=i)
+    pair_idem = is_idempotent(ring, i)
+    first_idem = base.mul_i(r, r) == r and v == 0
+    reason = "idempotency does not reduce to (idempotent, 0)"
+    return _unless(pair_idem == first_idem, ring, reason, element=i)
+
+
+@_check(
+    "RM",
+    "idealization powers, nilpotency, idempotency reduce to the first slot",
+)
+def _check_rm(rings, caps):
     for ring in _of_structure(rings, "idealization"):
-        _, n, m = ring.structure
-        base = make_zmod(n)
+        base = make_zmod(ring.structure[1])
         for i in range(ring.order):
-            inst += 1
-            hyp += 1
-            r, v = ring.decode(i)
-            for k in range(1, 9):
-                expected = (pow(r, k, n)) * m + (k * pow(r, k - 1, n) * v) % m
-                if ring.pow_i(i, k) != expected:
-                    return CheckOutcome(
-                        inst,
-                        hyp,
-                        _w(ring, f"power formula fails at exponent {k}", element=i),
-                    )
-            pair_nil = nilpotency_index(ring, i) is not None
-            first_nil = nilpotency_index(base, r) is not None
-            if pair_nil != first_nil:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "nilpotency does not reduce to the first coordinate", element=i),
-                )
-            pair_idem = is_idempotent(ring, i)
-            first_idem = base.mul_i(r, r) == r and v == 0
-            if pair_idem != first_idem:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "idempotency does not reduce to (idempotent, 0)", element=i),
-                )
-    return CheckOutcome(inst, hyp)
+            yield _idealization_failure(ring, base, i)
 
 
-def _check_rm1(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("RM1", "idealization ideals are nil-clean iff the base ideal is")
+def _check_rm1(rings, caps):
+    reason = "pairing with a submodule changes nil-cleanness"
     for ring in _of_structure(rings, "idealization"):
         _, n, m = ring.structure
-        base = make_zmod(n)
-        for ideal in _ideals(base, caps):
+        for ideal in _ideals(make_zmod(n), caps):
             for d in _divisors(m):
-                inst += 1
                 try:
                     lifted = _idealization_ideal(ring, ideal, d)
                 except NotAnIdeal:
                     # the pair set is only an ideal when ideal * module lands
                     # inside the submodule; other pairs carry no claim
+                    yield SKIP
                     continue
-                hyp += 1
                 lhs = is_nil_clean_ideal(ideal)
                 rhs = is_nil_clean_ideal(lifted)
-                if lhs != rhs:
-                    return CheckOutcome(
-                        inst,
-                        hyp,
-                        _w(
-                            ring,
-                            "pairing with a submodule changes nil-cleanness",
-                            lifted,
-                            base_ideal=sorted(ideal.indices),
-                            submodule_step=d,
-                            direction="forward" if lhs else "backward",
-                        ),
-                    )
-    return CheckOutcome(inst, hyp)
+                pair = {"base_ideal": sorted(ideal.indices), "submodule_step": d}
+                yield _iff(lhs, rhs, ring, reason, lifted, **pair)
 
 
 def _morita_containments(a: int, b: int, g: int, a1, b1, m1, n1) -> bool:
-    full = range(g)
-    # bottom-left strip: hit by the B ideal from the left and by the A ideal
-    # from the right, and closed under both full actions
-    for w in full:
-        if any((s * w) % g not in m1 for s in b1):
-            return False
-        if any((w * r) % g not in m1 for r in a1):
-            return False
-        if any((r * w) % g not in n1 for r in a1):
-            return False
-        if any((w * s) % g not in n1 for s in b1):
-            return False
-    for w in m1:
-        if any((s * w) % g not in m1 for s in range(b)):
-            return False
-        if any((w * r) % g not in m1 for r in range(a)):
-            return False
-    for w in n1:
-        if any((r * w) % g not in n1 for r in range(a)):
-            return False
-        if any((w * s) % g not in n1 for s in range(b)):
-            return False
+    # each off-diagonal strip holds the products of both diagonal ideals with
+    # the whole module and is closed under both full diagonal actions
+    def lands(xs, ws, strip) -> bool:
+        return all((x * w) % g in strip for w in ws for x in xs)
+
+    return all(
+        lands(side, range(g), strip) for strip in (m1, n1) for side in (b1, a1)
+    ) and all(lands(range(k), strip, strip) for strip in (m1, n1) for k in (b, a))
+
+
+def _is_ideal(ring: FiniteRing, members) -> bool:
+    try:
+        Ideal.from_members(ring, members)
+    except NilCleanError:
+        return False
     return True
 
 
-def _check_morita_proj(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("morita_proj", "context ideals are exactly the containment-closed block sets")
+def _check_morita_proj(rings, caps):
     for ring in _of_structure(rings, "morita_zero"):
         _, a, b, g = ring.structure
         ring_a = make_zmod(a)
         ring_b = make_zmod(b)
-        known = {ideal.mask for ideal in _ideals(ring, caps)}
-        for ideal in _ideals(ring, caps):
-            inst += 1
-            hyp += 1
+        ideals = _ideals(ring, caps)
+        known = {ideal.mask for ideal in ideals}
+        for ideal in ideals:
             a1, b1, m1, n1 = _morita_projections(ring, ideal)
             block = _morita_block_members(ring, a1, b1, m1, n1)
             if tuple(block) != ideal.indices:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "ideal is not the block set of its projections", ideal),
-                )
-            try:
-                Ideal.from_members(ring_a, a1)
-                Ideal.from_members(ring_b, b1)
-            except NilCleanError:
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "diagonal projection is not an ideal", ideal),
-                )
-            if not _morita_containments(a, b, g, a1, b1, m1, n1):
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "projections violate the block containments", ideal),
-                )
+                yield _w(ring, "ideal is not the block set of its projections", ideal)
+            elif not (_is_ideal(ring_a, a1) and _is_ideal(ring_b, b1)):
+                yield _w(ring, "diagonal projection is not an ideal", ideal)
+            else:
+                ok = _morita_containments(a, b, g, a1, b1, m1, n1)
+                reason = "projections violate the block containments"
+                yield _unless(ok, ring, reason, ideal)
         # converse: every containment-satisfying quadruple gives an ideal
-        for ia in _ideals(ring_a, caps):
-            for ib in _ideals(ring_b, caps):
-                for m1 in _subgroups_mod(g):
-                    for n1 in _subgroups_mod(g):
-                        a1 = set(ia.indices)
-                        b1 = set(ib.indices)
-                        if not _morita_containments(a, b, g, a1, b1, m1, n1):
-                            continue
-                        inst += 1
-                        hyp += 1
-                        members = _morita_block_members(ring, a1, b1, m1, n1)
-                        try:
-                            block = Ideal.from_members(ring, members)
-                        except NilCleanError:
-                            return CheckOutcome(
-                                inst,
-                                hyp,
-                                _w(
-                                    ring,
-                                    "containment-satisfying block set is not an ideal",
-                                    ideal=members,
-                                ),
-                            )
-                        if block.mask not in known:
-                            return CheckOutcome(
-                                inst,
-                                hyp,
-                                _w(ring, "block ideal missing from the ideal list", block),
-                            )
-    return CheckOutcome(inst, hyp)
+        for ia, ib, m1, n1 in itertools.product(
+            _ideals(ring_a, caps),
+            _ideals(ring_b, caps),
+            _subgroups_mod(g),
+            _subgroups_mod(g),
+        ):
+            a1 = set(ia.indices)
+            b1 = set(ib.indices)
+            if not _morita_containments(a, b, g, a1, b1, m1, n1):
+                continue
+            members = _morita_block_members(ring, a1, b1, m1, n1)
+            try:
+                block = Ideal.from_members(ring, members)
+            except NilCleanError:
+                reason = "containment-satisfying block set is not an ideal"
+                yield _w(ring, reason, ideal=members)
+                continue
+            reason = "block ideal missing from the ideal list"
+            yield _unless(block.mask in known, ring, reason, block)
 
 
 _MORITA_NOTE = "second diagonal conclusion read as the lower-right block"
@@ -972,35 +763,36 @@ def _morita_diagonal_ideals(ring: FiniteRing, ideal: Ideal, ring_a, ring_b):
     return Ideal.from_members(ring_a, a1), Ideal.from_members(ring_b, b1)
 
 
-def _check_morita_corner(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check(
+    "morita_corner",
+    "strongly nil-clean context ideals have strongly nil-clean diagonals",
+)
+def _check_morita_corner(rings, caps):
     for ring in _of_structure(rings, "morita_zero"):
         _, a, b, _ = ring.structure
         ring_a = make_zmod(a)
         ring_b = make_zmod(b)
         for ideal in _ideals(ring, caps):
-            inst += 1
             if not is_strongly_nil_clean_ideal(ideal):
+                yield SKIP
                 continue
-            hyp += 1
             left, right = _morita_diagonal_ideals(ring, ideal, ring_a, ring_b)
             if not is_strongly_nil_clean_ideal(left):
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "upper-left projection not strongly nil-clean", ideal),
-                )
-            if not is_strongly_nil_clean_ideal(right):
-                return CheckOutcome(
-                    inst,
-                    hyp,
-                    _w(ring, "lower-right projection not strongly nil-clean", ideal),
-                )
-    return CheckOutcome(inst, hyp, details={"interpretation": _MORITA_NOTE})
+                yield _w(ring, "upper-left projection not strongly nil-clean", ideal)
+            else:
+                ok = is_strongly_nil_clean_ideal(right)
+                reason = "lower-right projection not strongly nil-clean"
+                yield _unless(ok, ring, reason, ideal)
+    return {"interpretation": _MORITA_NOTE}
 
 
+@_register(
+    "morita_zero_iff",
+    "zero pairing: context ideal nil-clean iff both diagonals are (both readings)",
+)
 def _check_morita_zero_iff(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+    # both readings are reported, so this check does not stop at a witness
+    inst = 0
     strong_witness = plain_witness = None
     for ring in _of_structure(rings, "morita_zero"):
         _, a, b, _ = ring.structure
@@ -1008,7 +800,6 @@ def _check_morita_zero_iff(rings, caps) -> CheckOutcome:
         ring_b = make_zmod(b)
         for ideal in _ideals(ring, caps):
             inst += 1
-            hyp += 1
             left, right = _morita_diagonal_ideals(ring, ideal, ring_a, ring_b)
             rhs = is_strongly_nil_clean_ideal(left) and is_strongly_nil_clean_ideal(
                 right
@@ -1024,205 +815,21 @@ def _check_morita_zero_iff(rings, caps) -> CheckOutcome:
         "plain_reading": "counterexample" if plain_witness else "verified",
         "interpretation": _MORITA_NOTE,
     }
-    witness = strong_witness or plain_witness
-    return CheckOutcome(inst, hyp, witness, details)
+    return CheckOutcome(inst, inst, strong_witness or plain_witness, details)
 
 
-def _check_tri_cor(rings, caps) -> CheckOutcome:
-    inst = hyp = 0
+@_check("tri_cor", "2x2 triangular pair ideals are nil-clean iff both corners are")
+def _check_tri_cor(rings, caps):
+    reason = "corner pair disagrees with the triangular ideal"
     for tri in _of_structure(rings, "tri"):
         if tri.structure[1] != 2:
             continue
-        base = tri.structure[2]
-        ideals = _ideals(base, caps)
-        for left in ideals:
-            for right in ideals:
-                inst += 1
-                hyp += 1
-                lifted = _tri2_pair_ideal(tri, left, right)
-                lhs = is_nil_clean_ideal(left) and is_nil_clean_ideal(right)
-                rhs = is_nil_clean_ideal(lifted)
-                if lhs != rhs:
-                    return CheckOutcome(
-                        inst,
-                        hyp,
-                        _w(
-                            tri,
-                            "corner pair disagrees with the triangular ideal",
-                            lifted,
-                            direction="forward" if lhs else "backward",
-                        ),
-                    )
-    return CheckOutcome(inst, hyp)
-
-
-CHECKS: Dict[str, CheckDef] = {
-    c.id: c
-    for c in [
-        CheckDef(
-            "L1",
-            "every nil-clean ideal is a clean ideal",
-            False,
-            _check_l1,
-        ),
-        CheckDef(
-            "PPP1",
-            "a nil-clean ideal meets the radical in a nil ideal",
-            False,
-            _check_ppp1,
-        ),
-        CheckDef(
-            "PPP1_cor",
-            "in a nil-clean ring the radical sits inside the nilpotents",
-            False,
-            _check_ppp1_cor,
-        ),
-        CheckDef(
-            "prod_ideals",
-            "products of nil-clean ideals stay nil-clean (commutative)",
-            True,
-            _check_prod_ideals,
-        ),
-        CheckDef(
-            "strong_iff",
-            "strongly nil-clean = strongly clean with nilpotent a - a^2",
-            False,
-            _check_strong_iff,
-        ),
-        CheckDef(
-            "strong_unique",
-            "strongly nil-clean ideals are uniquely strongly (nil-)clean",
-            False,
-            _check_strong_unique,
-        ),
-        CheckDef(
-            "TTT1",
-            "with the radical inside: nil-clean = boolean modulo a nil radical",
-            True,
-            _check_ttt1,
-        ),
-        CheckDef(
-            "central_idem",
-            "idempotents of uniquely nil-clean ideals are central",
-            False,
-            _check_central_idem,
-        ),
-        CheckDef(
-            "main1",
-            "nil-clean ideals split with both parts inside the ideal",
-            False,
-            _check_main1,
-        ),
-        CheckDef(
-            "local_cor",
-            "without nontrivial idempotents, proper nil-clean ideals are nil",
-            False,
-            _check_local_cor,
-        ),
-        CheckDef(
-            "mmm",
-            "nil-clean = boolean modulo a nil meet with the radical (commutative)",
-            True,
-            _check_mmm,
-        ),
-        CheckDef(
-            "main",
-            "nil-clean ring = some central idempotent splits it into nil-clean ideals",
-            False,
-            _check_main,
-        ),
-        CheckDef(
-            "complete_set",
-            "nil-clean ring = a complete central set generates nil-clean ideals",
-            False,
-            _check_complete_set,
-        ),
-        CheckDef(
-            "corner",
-            "nil-clean ideal = nil-clean in every corner of a complete set",
-            False,
-            _check_corner,
-        ),
-        CheckDef(
-            "lift_mod_nil",
-            "nil-clean transfers both ways across a nil-ideal quotient",
-            False,
-            _check_lift_mod_nil,
-        ),
-        CheckDef(
-            "hom_image",
-            "projections of nil-clean ideals are nil-clean",
-            False,
-            _check_hom_image,
-        ),
-        CheckDef(
-            "fin_prod",
-            "finite product ideals are nil-clean iff every component is",
-            False,
-            _check_fin_prod,
-        ),
-        CheckDef(
-            "dirsum",
-            "a nil-clean-by-not product ring is not nil-clean but its first strip is",
-            False,
-            _check_dirsum,
-        ),
-        CheckDef(
-            "nilindex_growth",
-            "the nilpotency index of 2 modulo 2^n is exactly n",
-            False,
-            _check_nilindex_growth,
-        ),
-        CheckDef(
-            "D211",
-            "triangular idempotents/nilpotents are controlled by the diagonal",
-            False,
-            _check_d211,
-        ),
-        CheckDef(
-            "TT1",
-            "entrywise triangular ideals are nil-clean iff the base ideal is",
-            False,
-            _check_tt1,
-        ),
-        CheckDef(
-            "RM",
-            "idealization powers, nilpotency, idempotency reduce to the first slot",
-            False,
-            _check_rm,
-        ),
-        CheckDef(
-            "RM1",
-            "idealization ideals are nil-clean iff the base ideal is",
-            False,
-            _check_rm1,
-        ),
-        CheckDef(
-            "morita_proj",
-            "context ideals are exactly the containment-closed block sets",
-            False,
-            _check_morita_proj,
-        ),
-        CheckDef(
-            "morita_corner",
-            "strongly nil-clean context ideals have strongly nil-clean diagonals",
-            False,
-            _check_morita_corner,
-        ),
-        CheckDef(
-            "morita_zero_iff",
-            "zero pairing: context ideal nil-clean iff both diagonals are (both readings)",
-            False,
-            _check_morita_zero_iff,
-        ),
-        CheckDef(
-            "tri_cor",
-            "2x2 triangular pair ideals are nil-clean iff both corners are",
-            False,
-            _check_tri_cor,
-        ),
-    ]
-}
+        ideals = _ideals(tri.structure[2], caps)
+        for left, right in itertools.product(ideals, ideals):
+            lifted = _tri2_pair_ideal(tri, left, right)
+            lhs = is_nil_clean_ideal(left) and is_nil_clean_ideal(right)
+            rhs = is_nil_clean_ideal(lifted)
+            yield _iff(lhs, rhs, tri, reason, lifted)
 
 
 def _as_rings(family, caps: Caps) -> List[FiniteRing]:
@@ -1283,23 +890,13 @@ def run_check(check_id: str, family=DEFAULT_FAMILY, caps: Caps = Caps()) -> Theo
     return _run_one(CHECKS[check_id], rings, caps)
 
 
-def thread_count(requested: Optional[int] = None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    raw = os.environ.get("NILCLEAN_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def run_all(
     config: SuiteConfig = SuiteConfig(), ids: Optional[Sequence[str]] = None
 ) -> List[TheoremReport]:
     """Run the selected checks (default all) over the configured family.
 
     Family rings pass the axiom gate first.  Reports come back ordered by
-    check id regardless of how many workers ran them.
+    check id.
     """
     selected = sorted(ids) if ids is not None else sorted(CHECKS)
     for check_id in selected:
@@ -1307,14 +904,6 @@ def run_all(
             raise UnknownCheck(check_id)
     rings = _as_rings(config.family, config.caps)
     _gate(rings)
-    workers = thread_count(config.threads)
-    if workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                check_id: pool.submit(_run_one, CHECKS[check_id], rings, config.caps)
-                for check_id in selected
-            }
-            return [futures[check_id].result() for check_id in selected]
     return [_run_one(CHECKS[check_id], rings, config.caps) for check_id in selected]
 
 
@@ -1336,10 +925,7 @@ def explore_noncommutative(
         for ideal in all_ideals(ring, cap=caps.ideal_cap):
             if ideal.mask & radical.mask != radical.mask:
                 continue
-            image = image_ideal(projection, ideal)
-            boolean_side = radical_nil and all(
-                image.ring.mul_i(x, x) == x for x in image.indices
-            )
+            boolean_side = radical_nil and _is_boolean_image(projection, ideal)
             nil_clean_side = is_nil_clean_ideal(ideal)
             findings.append(
                 {

@@ -23,6 +23,7 @@ def test_info_z6(capsys):
     assert payload["idempotents"] == [0, 1, 3, 4]
     assert payload["nilpotents"] == [0]
     assert payload["jacobson"] == [0]
+    assert payload["jacobson_count"] == 1
     assert payload["nil_clean_ring"] is False
 
 
@@ -47,6 +48,17 @@ def test_info_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "info", "Zx")
     assert code == 2
     assert "position" in err
+
+
+def test_info_lists_the_radical_only_up_to_the_member_limit(capsys):
+    code, out, _ = run_cli(capsys, "info", "Z512", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert "jacobson" not in payload
+    assert payload["jacobson_count"] == 256
+    code, out, _ = run_cli(capsys, "info", "Z512")
+    assert code == 0
+    assert "jacobson        #256" in out.splitlines()
 
 
 def test_info_order_cap_exits_3(capsys):

@@ -63,36 +63,6 @@ def test_reports_come_back_ordered_by_id():
     assert [r.id for r in reports] == ["L1", "PPP1", "TT1"]
 
 
-def test_parallel_run_matches_serial():
-    ids = ["L1", "PPP1", "main1", "strong_iff"]
-    serial = run_all(SuiteConfig(family=("Z4", "Z6", "Z12"), threads=1), ids=ids)
-    parallel = run_all(SuiteConfig(family=("Z4", "Z6", "Z12"), threads=4), ids=ids)
-    strip = lambda rs: [r.to_json() for r in rs]
-    assert strip(serial) == strip(parallel)
-
-
-def test_thread_count_honours_env(monkeypatch):
-    from nilclean.theorems import thread_count
-
-    monkeypatch.delenv("NILCLEAN_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("NILCLEAN_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("NILCLEAN_THREADS", "junk")
-    assert thread_count() == 1
-    assert thread_count(8) == 8
-
-
-def test_env_threads_yield_identical_reports(monkeypatch):
-    ids = ["L1", "TT1"]
-    config = SuiteConfig(family=("Z4", "T2(Z2)"))
-    monkeypatch.setenv("NILCLEAN_THREADS", "2")
-    threaded = run_all(config, ids=ids)
-    monkeypatch.delenv("NILCLEAN_THREADS")
-    serial = run_all(config, ids=ids)
-    assert [r.to_json() for r in threaded] == [r.to_json() for r in serial]
-
-
 def test_nilpotency_index_of_two_grows_with_the_exponent():
     for n in range(1, 11):
         ring = make_zmod(2 ** n) if n > 1 else make_zmod(2)
