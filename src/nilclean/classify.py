@@ -84,18 +84,15 @@ def nilpotents(ring: FiniteRing) -> Dict[int, int]:
 
 
 def units(ring: FiniteRing) -> FrozenSet[int]:
-    """Indices of two-sided units, found by one quadratic pair scan."""
+    """Indices of two-sided units: the x whose multiplication row holds one.
+
+    A finite ring is Dedekind-finite (xy = 1 implies yx = 1), so a right
+    inverse is two-sided and one scan of each row decides the question.
+    """
 
     def fill():
         one = ring.one_i
-        mul = ring.mul_i
-        found = set()
-        for i in range(ring.order):
-            for j in range(ring.order):
-                if mul(i, j) == one and mul(j, i) == one:
-                    found.add(i)
-                    break
-        return frozenset(found)
+        return frozenset(i for i in range(ring.order) if one in ring.mul_row(i))
 
     return ring.cached("units", fill)
 

@@ -351,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--order-cap",
         type=int,
         default=DEFAULT_ORDER_CAP,
-        help="largest constructible order",
+        help=f"largest constructible order, at most {DEFAULT_ORDER_CAP}",
     )
     common.add_argument(
         "--ideal-cap",

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
-from typing import Callable, Tuple, Union
+from math import gcd, prod
+from typing import Tuple, Union
 
 from .errors import (
     BadParameter,
@@ -32,7 +32,7 @@ from .errors import (
     OrderCapExceeded,
     ParseError,
 )
-from .ring import MATERIALIZE_CAP, Elem, FiniteRing
+from .ring import Elem, FiniteRing
 
 DEFAULT_ORDER_CAP = 4096
 DEFAULT_IDEAL_CAP = 512
@@ -45,7 +45,10 @@ TRI_POSITIONS = {
 
 @dataclass(frozen=True)
 class Caps:
-    """Enumeration limits shared by constructors, ideal listing, and the CLI."""
+    """Enumeration limits shared by constructors, ideal listing, and the CLI.
+
+    An `order_cap` above DEFAULT_ORDER_CAP does not raise the order limit.
+    """
 
     order_cap: int = DEFAULT_ORDER_CAP
     ideal_cap: int = DEFAULT_IDEAL_CAP
@@ -233,12 +236,10 @@ def parse_ring_spec(text: str) -> RingSpec:
 # --------------------------------------------------------------------------
 # table builders
 #
-# Up to MATERIALIZE_CAP every constructor hands FiniteRing whole tables, made
-# from rows that already exist by index arithmetic, with no function call per
-# entry.  Entries are looked up in one shared ``ints = list(range(order))`` so
-# equal entries share one int object.  Above the cap the constructors hand in
-# per-entry closures instead; those closures are the reference the tables are
-# tested against.
+# Every constructor hands FiniteRing whole tables, made from rows that already
+# exist by index arithmetic, with no function call per entry.  Entries are
+# looked up in one shared ``ints = list(range(order))`` so equal entries share
+# one int object.
 
 
 def _strides(orders) -> list:
@@ -268,8 +269,9 @@ def _radix_sum(vectors, ints) -> list:
 def _componentwise_rows(tables, ints) -> list:
     """Rows of the componentwise operation on tuples, one table per slot."""
     strides = _strides([len(t) for t in tables])
-    scaled = [[[s * v for v in row] for row in t] for t, s in zip(tables, strides)]
-    return [_radix_sum(rows, ints) for rows in product(*scaled)]
+    # the last slot has stride 1, so its table is used as it is
+    scaled = [[[s * v for v in row] for row in t] for t, s in zip(tables[:-1], strides)]
+    return [_radix_sum(rows, ints) for rows in product(*scaled, tables[-1])]
 
 
 def _componentwise_list(vectors, ints) -> list:
@@ -289,7 +291,7 @@ def _zmod_neg(n: int) -> list:
 
 
 def _table_rows(ring: FiniteRing) -> tuple:
-    """(add rows, mul rows, negation list) of a ring small enough for tables."""
+    """(add rows, mul rows, negation list) of a ring."""
     n = ring.order
     return (
         [ring.add_row(i) for i in range(n)],
@@ -301,15 +303,8 @@ def _table_rows(ring: FiniteRing) -> tuple:
 def _induced_tables(ring: FiniteRing, elems, index) -> tuple:
     """Tables on `elems` (coset representatives or corner members) whose entry
     for (i, j) is ``index[elems[i] op elems[j]]``, from the parent's rows."""
-    if ring.order <= MATERIALIZE_CAP:
-        add = [[index[row[y]] for y in elems] for row in map(ring.add_row, elems)]
-        mul = [[index[row[y]] for y in elems] for row in map(ring.mul_row, elems)]
-    else:
-        # the parent has no rows to re-index; computing whole parent rows
-        # would cost parent-order entries per row, so go entry by entry
-        add_i, mul_i = ring.add_i, ring.mul_i
-        add = [[index[add_i(x, y)] for y in elems] for x in elems]
-        mul = [[index[mul_i(x, y)] for y in elems] for x in elems]
+    add = [[index[row[y]] for y in elems] for row in map(ring.add_row, elems)]
+    mul = [[index[row[y]] for y in elems] for row in map(ring.mul_row, elems)]
     neg = [index[ring.neg_i(x)] for x in elems]
     return add, mul, neg
 
@@ -318,30 +313,32 @@ def _induced_tables(ring: FiniteRing, elems, index) -> tuple:
 # constructors
 
 
+def _check_order(order: int, cap: int, name: str) -> None:
+    """Refuse an order above `cap` before any table is allocated.
+
+    Tables at order n hold about 16*n^2 bytes, so no cap lifts the limit
+    above DEFAULT_ORDER_CAP.
+    """
+    limit = min(cap, DEFAULT_ORDER_CAP)
+    if order > limit:
+        raise OrderCapExceeded(f"{name} has order above cap {limit}")
+
+
 def make_zmod(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """The ring of integers modulo n; index i is the residue i."""
     if n < 2:
         raise BadParameter(f"modulus must be at least 2, got {n}")
-    if n > cap:
-        raise OrderCapExceeded(f"order {n} exceeds cap {cap}")
-    if n <= MATERIALIZE_CAP:
-        r = list(range(n))
-        add = _zmod_add_rows(n)
-        mul = [[r[(i * j) % n] for j in r] for i in r]
-        neg = _zmod_neg(n)
-    else:
-        add = lambda i, j: (i + j) % n
-        mul = lambda i, j: (i * j) % n
-        neg = lambda i: (-i) % n
+    _check_order(n, cap, f"Z{n}")
+    r = list(range(n))
     return FiniteRing(
         order=n,
         zero=0,
         one=1,
         spec=f"Z{n}",
         structure=("zmod", n),
-        add=add,
-        mul=mul,
-        neg=neg,
+        add=_zmod_add_rows(n),
+        mul=[[r[(i * j) % n] for j in r] for i in r],
+        neg=_zmod_neg(n),
     )
 
 
@@ -350,11 +347,9 @@ def make_product(parts, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     parts = tuple(parts)
     if not parts:
         raise BadParameter("a product needs at least one part")
-    order = 1
-    for p in parts:
-        order *= p.order
-        if order > cap:
-            raise OrderCapExceeded(f"product order exceeds cap {cap}")
+    spec = "x".join(p.spec for p in parts)
+    order = prod(p.order for p in parts)
+    _check_order(order, cap, spec)
     strides = _strides([p.order for p in parts])
 
     def decode(i: int) -> tuple:
@@ -369,36 +364,17 @@ def make_product(parts, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     def labeler(i):
         return "(" + ",".join(p.label(a) for p, a in zip(parts, decode(i))) + ")"
 
-    if order <= MATERIALIZE_CAP:
-        ints = list(range(order))
-        adds, muls, negs = zip(*map(_table_rows, parts))
-        add = _componentwise_rows(adds, ints)
-        mul = _componentwise_rows(muls, ints)
-        neg = _componentwise_list(negs, ints)
-    else:
-
-        def add(i, j):
-            return encode(
-                tuple(p.add_i(a, b) for p, a, b in zip(parts, decode(i), decode(j)))
-            )
-
-        def mul(i, j):
-            return encode(
-                tuple(p.mul_i(a, b) for p, a, b in zip(parts, decode(i), decode(j)))
-            )
-
-        def neg(i):
-            return encode(tuple(p.neg_i(a) for p, a in zip(parts, decode(i))))
-
+    ints = list(range(order))
+    adds, muls, negs = zip(*map(_table_rows, parts))
     return FiniteRing(
         order=order,
         zero=encode(tuple(p.zero_i for p in parts)),
         one=encode(tuple(p.one_i for p in parts)),
-        spec="x".join(p.spec for p in parts),
+        spec=spec,
         structure=("product", parts),
-        add=add,
-        mul=mul,
-        neg=neg,
+        add=_componentwise_rows(adds, ints),
+        mul=_componentwise_rows(muls, ints),
+        neg=_componentwise_list(negs, ints),
         decode=decode,
         labeler=labeler,
     )
@@ -460,8 +436,8 @@ def make_upper_triangular(base: FiniteRing, n: int, cap: int = DEFAULT_ORDER_CAP
     positions = TRI_POSITIONS[n]
     k = len(positions)
     order = base.order ** k
-    if order > cap:
-        raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
+    spec = f"T{n}({base.spec})"
+    _check_order(order, cap, spec)
     pos_index = {pos: t for t, pos in enumerate(positions)}
     b = base.order
 
@@ -479,31 +455,8 @@ def make_upper_triangular(base: FiniteRing, n: int, cap: int = DEFAULT_ORDER_CAP
             i = i * b + e
         return i
 
-    if order <= MATERIALIZE_CAP:
-        ints = list(range(order))
-        base_add, base_mul, base_neg = _table_rows(base)
-        add = _componentwise_rows([base_add] * k, ints)
-        mul = _triangular_mul_rows(base_add, base_mul, base.zero_i, n, ints)
-        neg = _componentwise_list([base_neg] * k, ints)
-    else:
-
-        def add(i, j):
-            x, y = decode(i), decode(j)
-            return encode(tuple(base.add_i(a, c) for a, c in zip(x, y)))
-
-        def neg(i):
-            return encode(tuple(base.neg_i(a) for a in decode(i)))
-
-        def mul(i, j):
-            x, y = decode(i), decode(j)
-            out = []
-            for (r, c) in positions:
-                acc = base.zero_i
-                for t in range(r, c + 1):
-                    acc = base.add_i(acc, base.mul_i(x[pos_index[(r, t)]], y[pos_index[(t, c)]]))
-                out.append(acc)
-            return encode(out)
-
+    ints = list(range(order))
+    base_add, base_mul, base_neg = _table_rows(base)
     one_entries = [base.one_i if r == c else base.zero_i for (r, c) in positions]
 
     def labeler(i):
@@ -523,11 +476,11 @@ def make_upper_triangular(base: FiniteRing, n: int, cap: int = DEFAULT_ORDER_CAP
         order=order,
         zero=0,
         one=encode(one_entries),
-        spec=f"T{n}({base.spec})",
+        spec=spec,
         structure=("tri", n, base),
-        add=add,
-        mul=mul,
-        neg=neg,
+        add=_componentwise_rows([base_add] * k, ints),
+        mul=_triangular_mul_rows(base_add, base_mul, base.zero_i, n, ints),
+        neg=_componentwise_list([base_neg] * k, ints),
         decode=decode,
         labeler=labeler,
     )
@@ -543,49 +496,24 @@ def make_idealization(n: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRin
     if m < 1 or n % m != 0:
         raise BadParameter(f"module modulus must divide {n}, got {m}")
     order = n * m
-    if order > cap:
-        raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
-
-    def decode(i: int) -> tuple:
-        return (i // m, i % m)
-
-    if order <= MATERIALIZE_CAP:
-        ints = list(range(order))
-        add = _componentwise_rows([_zmod_add_rows(n), _zmod_add_rows(m)], ints)
-        neg = _componentwise_list([_zmod_neg(n), _zmod_neg(m)], ints)
-        mul = []
-        for r, v in product(range(n), range(m)):
-            heads = [((r * s) % n) * m for s in range(n)]
-            rw = [r * w for w in range(m)]
-            mul.append(
-                [ints[h + (x + s * v) % m] for s, h in enumerate(heads) for x in rw]
-            )
-    else:
-
-        def add(i, j):
-            r, v = decode(i)
-            s, w = decode(j)
-            return ((r + s) % n) * m + (v + w) % m
-
-        def mul(i, j):
-            r, v = decode(i)
-            s, w = decode(j)
-            return ((r * s) % n) * m + (r * w + s * v) % m
-
-        def neg(i):
-            r, v = decode(i)
-            return ((-r) % n) * m + (-v) % m
-
+    spec = f"Id({n},{m})"
+    _check_order(order, cap, spec)
+    ints = list(range(order))
+    mul = []
+    for r, v in product(range(n), range(m)):
+        heads = [((r * s) % n) * m for s in range(n)]
+        rw = [r * w for w in range(m)]
+        mul.append([ints[h + (x + s * v) % m] for s, h in enumerate(heads) for x in rw])
     return FiniteRing(
         order=order,
         zero=0,
         one=1 * m + 0,
-        spec=f"Id({n},{m})",
+        spec=spec,
         structure=("idealization", n, m),
-        add=add,
+        add=_componentwise_rows([_zmod_add_rows(n), _zmod_add_rows(m)], ints),
         mul=mul,
-        neg=neg,
-        decode=decode,
+        neg=_componentwise_list([_zmod_neg(n), _zmod_neg(m)], ints),
+        decode=lambda i: (i // m, i % m),
         labeler=lambda i: f"({i // m},{i % m})",
     )
 
@@ -603,8 +531,8 @@ def make_morita_zero(a: int, b: int, g: int, cap: int = DEFAULT_ORDER_CAP) -> Fi
     if g < 1 or gcd(a, b) % g != 0:
         raise BadParameter(f"strip modulus {g} must divide gcd({a},{b})")
     order = a * b * g * g
-    if order > cap:
-        raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
+    spec = f"MZ({a},{b},{g})"
+    _check_order(order, cap, spec)
 
     def decode(i: int) -> tuple:
         i, nn = divmod(i, g)
@@ -615,49 +543,26 @@ def make_morita_zero(a: int, b: int, g: int, cap: int = DEFAULT_ORDER_CAP) -> Fi
     def encode(r, s, mm, nn) -> int:
         return ((r * b + s) * g + mm) * g + nn
 
-    if order <= MATERIALIZE_CAP:
-        ints = list(range(order))
-        slots = (a, b, g, g)
-        add = _componentwise_rows([_zmod_add_rows(q) for q in slots], ints)
-        neg = _componentwise_list([_zmod_neg(q) for q in slots], ints)
-        ra, rb, rg = range(a), range(b), range(g)
-        mul = []
-        for r1, s1, m1, n1 in product(ra, rb, rg, rg):
-            # the product's r and m digits read only r2 and m2 of the right
-            # factor, its s and n digits only s2 and n2
-            heads_r = [encode((r1 * r2) % a, 0, 0, 0) for r2 in ra]
-            strip_m = [[(m1 * r2 + s1 * m2) % g * g for m2 in rg] for r2 in ra]
-            heads_s = [encode(0, (s1 * s2) % b, 0, 0) for s2 in rb]
-            strip_n = [[(r1 * n2 + n1 * s2) % g for n2 in rg] for s2 in rb]
-            mul.append(
-                [
-                    ints[hr + hs + x + y]
-                    for hr, xs in zip(heads_r, strip_m)
-                    for hs, ys in zip(heads_s, strip_n)
-                    for x in xs
-                    for y in ys
-                ]
-            )
-    else:
-
-        def add(i, j):
-            r1, s1, m1, n1 = decode(i)
-            r2, s2, m2, n2 = decode(j)
-            return encode((r1 + r2) % a, (s1 + s2) % b, (m1 + m2) % g, (n1 + n2) % g)
-
-        def mul(i, j):
-            r1, s1, m1, n1 = decode(i)
-            r2, s2, m2, n2 = decode(j)
-            return encode(
-                (r1 * r2) % a,
-                (s1 * s2) % b,
-                (m1 * r2 + s1 * m2) % g,
-                (r1 * n2 + n1 * s2) % g,
-            )
-
-        def neg(i):
-            r, s, mm, nn = decode(i)
-            return encode((-r) % a, (-s) % b, (-mm) % g, (-nn) % g)
+    ints = list(range(order))
+    slots = (a, b, g, g)
+    ra, rb, rg = range(a), range(b), range(g)
+    mul = []
+    for r1, s1, m1, n1 in product(ra, rb, rg, rg):
+        # the product's r and m digits read only r2 and m2 of the right
+        # factor, its s and n digits only s2 and n2
+        heads_r = [encode((r1 * r2) % a, 0, 0, 0) for r2 in ra]
+        strip_m = [[(m1 * r2 + s1 * m2) % g * g for m2 in rg] for r2 in ra]
+        heads_s = [encode(0, (s1 * s2) % b, 0, 0) for s2 in rb]
+        strip_n = [[(r1 * n2 + n1 * s2) % g for n2 in rg] for s2 in rb]
+        mul.append(
+            [
+                ints[hr + hs + x + y]
+                for hr, xs in zip(heads_r, strip_m)
+                for hs, ys in zip(heads_s, strip_n)
+                for x in xs
+                for y in ys
+            ]
+        )
 
     def labeler(i):
         r, s, mm, nn = decode(i)
@@ -667,11 +572,11 @@ def make_morita_zero(a: int, b: int, g: int, cap: int = DEFAULT_ORDER_CAP) -> Fi
         order=order,
         zero=0,
         one=encode(1, 1, 0, 0),
-        spec=f"MZ({a},{b},{g})",
+        spec=spec,
         structure=("morita_zero", a, b, g),
-        add=add,
+        add=_componentwise_rows([_zmod_add_rows(q) for q in slots], ints),
         mul=mul,
-        neg=neg,
+        neg=_componentwise_list([_zmod_neg(q) for q in slots], ints),
         decode=decode,
         labeler=labeler,
     )
@@ -722,20 +627,7 @@ def make_quotient(ring: FiniteRing, ideal) -> tuple:
                 rep_of[ring.add_i(x, i)] = x
         q_index = {rep: qi for qi, rep in enumerate(reps)}
         index_map = tuple(q_index[rep_of[x]] for x in range(n))
-
-        if len(reps) <= MATERIALIZE_CAP:
-            qadd, qmul, qneg = _induced_tables(ring, reps, index_map)
-        else:
-
-            def qadd(i, j):
-                return index_map[ring.add_i(reps[i], reps[j])]
-
-            def qmul(i, j):
-                return index_map[ring.mul_i(reps[i], reps[j])]
-
-            def qneg(i):
-                return index_map[ring.neg_i(reps[i])]
-
+        qadd, qmul, qneg = _induced_tables(ring, reps, index_map)
         gens = ideal.generators if ideal.generators is not None else ideal.indices
         spec = f"Q({ring.spec};[{','.join(str(g) for g in gens)}])"
         quotient = FiniteRing(
@@ -799,20 +691,7 @@ def make_corner(ring: FiniteRing, e) -> tuple:
     def build():
         members = sorted({ring.mul_i(ring.mul_i(e_i, x), e_i) for x in range(ring.order)})
         sub = {x: t for t, x in enumerate(members)}
-
-        if len(members) <= MATERIALIZE_CAP:
-            cadd, cmul, cneg = _induced_tables(ring, members, sub)
-        else:
-
-            def cadd(i, j):
-                return sub[ring.add_i(members[i], members[j])]
-
-            def cmul(i, j):
-                return sub[ring.mul_i(members[i], members[j])]
-
-            def cneg(i):
-                return sub[ring.neg_i(members[i])]
-
+        cadd, cmul, cneg = _induced_tables(ring, members, sub)
         corner = FiniteRing(
             order=len(members),
             zero=sub[ring.zero_i],
@@ -898,8 +777,7 @@ def build(spec, caps: Caps = Caps()) -> FiniteRing:
         spec = parse_ring_spec(spec)
     if isinstance(spec, FiniteRing):
         return spec
-    if spec_order(spec, caps.order_cap) > caps.order_cap:
-        raise OrderCapExceeded(f"spec {spec} has order above cap {caps.order_cap}")
+    _check_order(spec_order(spec, DEFAULT_ORDER_CAP), caps.order_cap, f"spec {spec}")
     if isinstance(spec, Zmod):
         return make_zmod(spec.n, cap=caps.order_cap)
     if isinstance(spec, Product):

@@ -1,14 +1,13 @@
 """Finite unital rings with canonical element indexing.
 
-Every ring maps its elements onto the indices ``0 .. order-1``.  Up to
-:data:`MATERIALIZE_CAP` the constructors hand in whole Cayley tables, built
-row by row from tables that already exist; above it they hand in closures
-that compute one entry from the constructor's structure.  A ring stores
-what it is given: closures are never materialized into tables.
+Every ring maps its elements onto the indices ``0 .. order-1`` and stores
+its addition and multiplication as whole Cayley tables, which the
+constructors build row by row from tables that already exist.  A ring keeps
+the tables it is given and never copies them; at order n they hold about
+16*n^2 bytes.
 
 A ring is immutable once built; the ``cached`` helper backs fill-once memo
-slots (classifier sets, ideal lists) whose fills are pure and idempotent, so
-concurrent readers are safe even if two threads race to fill the same slot.
+slots (classifier sets, ideal lists) whose fills are pure and idempotent.
 """
 
 from __future__ import annotations
@@ -19,11 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import BadParameter, ElementRingMismatch, ExhaustiveTooLarge
 
-MATERIALIZE_CAP = 1024
 EXHAUSTIVE_LIMIT = 64
-
-BinOp = Callable[[int, int], int]
-UnOp = Callable[[int], int]
 
 
 class Elem:
@@ -91,10 +86,9 @@ ElemLike = Union[Elem, int]
 class FiniteRing:
     """A finite associative ring with unity, elements indexed 0..order-1.
 
-    `add` and `mul` are either tables (a list of rows, taken as given and
-    never copied) or closures on indices; `neg` is a list, a closure, or
-    None to scan the add table for inverses.  Constructors pass tables up to
-    :data:`MATERIALIZE_CAP` and closures above it.
+    `add` and `mul` are Cayley tables, lists of rows taken as given and never
+    copied; `neg` is the negation list, or None to scan the add table for
+    inverses.
     """
 
     __slots__ = (
@@ -107,9 +101,6 @@ class FiniteRing:
         "_add_rows",
         "_mul_rows",
         "_neg_list",
-        "_add_fn",
-        "_mul_fn",
-        "_neg_fn",
         "_labeler",
         "_elems",
         "_memo",
@@ -122,9 +113,9 @@ class FiniteRing:
         one: int,
         spec: str,
         structure: tuple,
-        add: Union[Sequence[Sequence[int]], BinOp],
-        mul: Union[Sequence[Sequence[int]], BinOp],
-        neg: Union[Sequence[int], UnOp, None] = None,
+        add: Sequence[Sequence[int]],
+        mul: Sequence[Sequence[int]],
+        neg: Optional[Sequence[int]] = None,
         decode: Optional[Callable[[int], object]] = None,
         labeler: Optional[Callable[[int], str]] = None,
     ):
@@ -141,26 +132,11 @@ class FiniteRing:
         self._labeler = labeler
         self._elems: Optional[list] = None
         self._memo: dict = {}
-
-        if callable(add):
-            self._add_fn, self._add_rows = add, None
-        else:
-            self._add_fn, self._add_rows = None, add
-        if callable(mul):
-            self._mul_fn, self._mul_rows = mul, None
-        else:
-            self._mul_fn, self._mul_rows = None, mul
-        if callable(neg):
-            self._neg_fn, self._neg_list = neg, None
-        elif neg is not None:
-            self._neg_fn, self._neg_list = None, neg
-        else:
-            self._neg_fn = None
-            self._neg_list = self._scan_negatives()
+        self._add_rows = add
+        self._mul_rows = mul
+        self._neg_list = neg if neg is not None else self._scan_negatives()
 
     def _scan_negatives(self) -> list:
-        if self._add_rows is None:
-            raise BadParameter("negation table required for non-materialized rings")
         zero = self.zero_i
         out = []
         for row in self._add_rows:
@@ -173,16 +149,13 @@ class FiniteRing:
     # -- index-level arithmetic -------------------------------------------
 
     def add_i(self, i: int, j: int) -> int:
-        rows = self._add_rows
-        return rows[i][j] if rows is not None else self._add_fn(i, j)
+        return self._add_rows[i][j]
 
     def mul_i(self, i: int, j: int) -> int:
-        rows = self._mul_rows
-        return rows[i][j] if rows is not None else self._mul_fn(i, j)
+        return self._mul_rows[i][j]
 
     def neg_i(self, i: int) -> int:
-        lst = self._neg_list
-        return lst[i] if lst is not None else self._neg_fn(i)
+        return self._neg_list[i]
 
     def sub_i(self, i: int, j: int) -> int:
         return self.add_i(i, self.neg_i(j))
@@ -254,7 +227,7 @@ class FiniteRing:
         return self._labeler(i) if self._labeler is not None else str(i)
 
     def cached(self, key, fill):
-        """Fill-once memo slot; fills are pure, so racing fills are harmless."""
+        """Fill-once memo slot for a pure fill."""
         memo = self._memo
         if key in memo:
             return memo[key]
@@ -263,18 +236,10 @@ class FiniteRing:
         return value
 
     def add_row(self, i: int) -> list:
-        rows = self._add_rows
-        if rows is not None:
-            return rows[i]
-        fn = self._add_fn
-        return [fn(i, j) for j in range(self.order)]
+        return self._add_rows[i]
 
     def mul_row(self, i: int) -> list:
-        rows = self._mul_rows
-        if rows is not None:
-            return rows[i]
-        fn = self._mul_fn
-        return [fn(i, j) for j in range(self.order)]
+        return self._mul_rows[i]
 
     def __repr__(self):
         return f"<FiniteRing {self.spec} order={self.order}>"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,21 @@ def test_info_lists_the_radical_only_up_to_the_member_limit(capsys):
 def test_info_order_cap_exits_3(capsys):
     code, _, err = run_cli(capsys, "info", "T3(Z9)")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [("Z5000", "--order-cap", "5000"), ("Z5000",)])
+def test_info_above_4096_exits_3_whatever_the_cap(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "info", *argv)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert "above cap 4096" in err
+    # no table was built: one at order 5000 would hold 200 MB
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("depth", [9, 40])

@@ -1,10 +1,13 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from nilclean import (
     BadParameter,
+    Caps,
     DEFAULT_FAMILY,
     NotCentralIdempotent,
     OrderCapExceeded,
@@ -27,11 +30,9 @@ from nilclean import (
     units,
     verify_axioms,
 )
-import nilclean.construct as construct_module
-import nilclean.ring as ring_module
-from nilclean.construct import TRI_POSITIONS
+from nilclean.construct import DEFAULT_ORDER_CAP, TRI_POSITIONS
 
-from oracles import tri_mat_mul
+from oracles import reference_ops, tri_mat_mul
 
 
 def test_zmod_basics():
@@ -255,35 +256,55 @@ TABLE_SPECS = (
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
-def test_tables_match_per_entry_closures(spec, monkeypatch):
-    """The row builders agree entry for entry with the per-entry closures
-    that constructors hand in above MATERIALIZE_CAP."""
-    fast = build(spec)
-    n = fast.order
-    monkeypatch.setattr(ring_module, "MATERIALIZE_CAP", n - 1)
-    monkeypatch.setattr(construct_module, "MATERIALIZE_CAP", n - 1)
-    ref = build(spec)
-    assert ref.order == n
-    assert (fast.zero_i, fast.one_i) == (ref.zero_i, ref.one_i)
-    every = range(n)
+def test_tables_match_per_entry_closures(spec):
+    """The row builders agree entry for entry with the per-entry reference
+    computed from each constructor's definition."""
+    ring = build(spec)
+    add, mul, neg = reference_ops(ring)
+    every = range(ring.order)
     for i in every:
-        assert fast.add_row(i) == [ref.add_i(i, j) for j in every], (spec, i)
-        assert fast.mul_row(i) == [ref.mul_i(i, j) for j in every], (spec, i)
-    assert [fast.neg_i(i) for i in every] == [ref.neg_i(i) for i in every]
-    assert [fast.label(i) for i in every] == [ref.label(i) for i in every]
+        assert ring.add_row(i) == [add(i, j) for j in every], (spec, i)
+        assert ring.mul_row(i) == [mul(i, j) for j in every], (spec, i)
+    assert [ring.neg_i(i) for i in every] == [neg(i) for i in every]
+    assert ring.add_row(ring.zero_i) == list(every)
+    assert ring.mul_row(ring.one_i) == list(every)
 
 
-@pytest.mark.parametrize("spec", ["Q(Z4xZ6;[3])", "C(T2(Z2)xZ3;15)"])
-def test_induced_tables_over_a_parent_without_tables(spec, monkeypatch):
-    """A quotient or corner small enough for tables, over a parent above the
-    cap, is built entry by entry and still matches the default build."""
-    fast = build(spec)
-    monkeypatch.setattr(ring_module, "MATERIALIZE_CAP", fast.order)
-    monkeypatch.setattr(construct_module, "MATERIALIZE_CAP", fast.order)
-    other = build(spec)
-    assert other.structure[1].order > fast.order
-    every = range(fast.order)
-    for i in every:
-        assert other.add_row(i) == fast.add_row(i)
-        assert other.mul_row(i) == fast.mul_row(i)
-    assert [other.neg_i(i) for i in every] == [fast.neg_i(i) for i in every]
+def test_tables_above_order_1024_match_the_reference():
+    """Rings between orders 1025 and 4096 hold tables too; a seeded sample of
+    rows of T2(Z11) (order 1331) matches the per-entry reference."""
+    ring = build("T2(Z11)")
+    assert ring.order == 1331
+    add, mul, neg = reference_ops(ring)
+    every = range(ring.order)
+    for i in random.Random(1331).sample(every, 24):
+        assert ring.mul_row(i) is ring.mul_row(i)
+        assert ring.add_row(i) == [add(i, j) for j in every], i
+        assert ring.mul_row(i) == [mul(i, j) for j in every], i
+    assert [ring.neg_i(i) for i in every] == [neg(i) for i in every]
+
+
+def _peak_alloc_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_ORDER_CAP, 5000, 10**6])
+def test_order_above_the_default_cap_is_refused_before_tables(cap):
+    parts = [make_zmod(64), make_zmod(65)]
+
+    def attempt():
+        with pytest.raises(OrderCapExceeded):
+            make_zmod(5000, cap=cap)
+        with pytest.raises(OrderCapExceeded):
+            make_product(parts, cap=cap)
+        with pytest.raises(OrderCapExceeded):
+            build("Z5000", Caps(order_cap=cap))
+
+    # a table at order 5000 alone would hold 200 MB
+    assert _peak_alloc_bytes(attempt) < 1_000_000
