@@ -3,12 +3,28 @@
 A membership set is one Python int: bit i is set iff element i belongs.
 Unions, intersections, and subset tests are then single big-int operations,
 which is what the enumeration loops spend their time on.
+
+Every ring has one memoized additive basis: k <= log2(n) elements whose
+sums reach the whole ring (``additive_basis``).  One span primitive grows an
+additive subgroup by whole cosets read off ``ring.add_row``; spanning a
+subgroup of size m costs O(m) list steps plus one O(n) flag array, however
+many generators are offered.  The ideal layer is built on it:
+
+- the ideal generated by g is the span of the k^2 products a*g*b over basis
+  elements a, b: O(k^2 + |I|) per generated ideal, against n^2 products
+  before;
+- an ideal is verified by spanning its members inside the mask and checking
+  a*x and x*a for the basis elements a and the at most log2|I| generators x
+  of that span: O(|I| + k*log2|I|), against O(|I|^2 + |I|*n) pairwise;
+- sums span one ideal's members over the other, products span the products
+  of the two ideals' additive generators.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
+from .classify import nilpotency_index, units
 from .construct import DEFAULT_IDEAL_CAP
 from .errors import CapExceeded, ElementRingMismatch, NotAnIdeal, NotCentralIdempotent
 from .ring import ElemLike, FiniteRing
@@ -22,32 +38,92 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def indices_of(mask: int) -> Tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    bits = bin(mask)[:1:-1]  # bit i is character i
+    return tuple([i for i, c in enumerate(bits) if c == "1"])
+
+
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _mask_of_flags(flags: bytearray) -> int:
+    """The mask of a 0/1 bytearray, flag i for bit i."""
+    return int(flags[::-1].translate(_FLAG_DIGITS), 2)
+
+
+def additive_basis(ring: FiniteRing) -> Tuple[int, ...]:
+    """A generating set of the ring's additive group, memoized on the ring.
+
+    Greedy: walk the indices and keep each element not yet in the span.  Each
+    kept element at least doubles the span, so there are at most log2(order).
+    """
+    return ring.cached(
+        "additive_basis", lambda: tuple(_grow(ring, range(ring.order))[2])
+    )
+
+
+def _span(ring: FiniteRing, members: Iterable[int], gens: Iterable[int]):
+    """Grow the additive subgroup H listed by members by gens.
+
+    A generator s outside H adds the cosets H + s, H + 2s, ... up to the
+    first one that lands back in H; each coset is one walk of
+    ``ring.add_row(s)`` over the previous one.  Returns the grown mask, its
+    members (H's first, then each coset in order) and the generators that
+    grew it.
+    """
+    members = list(members)
+    inside = bytearray(ring.order)
+    for x in members:
+        inside[x] = 1
+    kept = []
+    for s in gens:
+        if inside[s]:
+            continue
+        kept.append(s)
+        row = ring.add_row(s)
+        coset = members
+        while True:
+            coset = [row[x] for x in coset]
+            # a coset of H is H itself or disjoint from it, and the first
+            # return to H comes before any repeat of an earlier coset
+            if inside[coset[0]]:
+                break
+            members.extend(coset)
+            for y in coset:
+                inside[y] = 1
+    return _mask_of_flags(inside), members, kept
+
+
+def _grow(ring: FiniteRing, gens: Iterable[int]):
+    """The additive subgroup spanned by gens: (mask, members, kept gens)."""
+    return _span(ring, (ring.zero_i,), gens)
 
 
 def verify_ideal(ring: FiniteRing, mask: int) -> None:
-    """Raise NotAnIdeal unless mask is a two-sided ideal of the ring."""
+    """Raise NotAnIdeal unless mask is a two-sided ideal of the ring.
+
+    The members' additive span must not leave the mask (then the mask is
+    that span, a subgroup), and a*x, x*a must stay inside for every element
+    a of the additive basis and every generator x of the span.  Sums of
+    those products then cover r*y and y*r for all r in R and y in the mask.
+    """
     if not mask >> ring.zero_i & 1:
         raise NotAnIdeal(f"{ring.spec}: zero missing")
     members = indices_of(mask)
-    for x in members:
-        if not mask >> ring.neg_i(x) & 1:
-            raise NotAnIdeal(f"{ring.spec}: not closed under negation at {x}")
-        for y in members:
-            if not mask >> ring.add_i(x, y) & 1:
-                raise NotAnIdeal(f"{ring.spec}: not closed under addition at {x},{y}")
-        for r in range(ring.order):
-            if not mask >> ring.mul_i(r, x) & 1:
-                raise NotAnIdeal(f"{ring.spec}: not left-absorbing at {r}*{x}")
-            if not mask >> ring.mul_i(x, r) & 1:
-                raise NotAnIdeal(f"{ring.spec}: not right-absorbing at {x}*{r}")
+    span, _, gens = _grow(ring, members)
+    if span != mask:
+        # a mask closed under adding each generator is closed under adding
+        # their sums, the whole span, so some generator leads out of it
+        y, s = next(
+            (y, s) for s in gens for y in members if not mask >> ring.add_i(y, s) & 1
+        )
+        raise NotAnIdeal(f"{ring.spec}: not closed under addition at {y},{s}")
+    mul = ring.mul_i
+    for a in additive_basis(ring):
+        for x in gens:
+            if not mask >> mul(a, x) & 1:
+                raise NotAnIdeal(f"{ring.spec}: not left-absorbing at {a}*{x}")
+            if not mask >> mul(x, a) & 1:
+                raise NotAnIdeal(f"{ring.spec}: not right-absorbing at {x}*{a}")
 
 
 class Ideal:
@@ -113,40 +189,27 @@ def _require_same_ring(a: Ideal, b: Ideal) -> FiniteRing:
     return a.ring
 
 
-def additive_closure(ring: FiniteRing, mask: int) -> int:
-    """Close a member mask under addition (finite, so also under negation)."""
-    mask |= 1 << ring.zero_i
-    closed = mask
-    queue = list(indices_of(mask))
-    add = ring.add_i
-    while queue:
-        x = queue.pop()
-        for y in indices_of(closed):
-            s = add(x, y)
-            if not closed >> s & 1:
-                closed |= 1 << s
-                queue.append(s)
-    return closed
-
-
 def ideal_generated(ring: FiniteRing, gens: Iterable[ElemLike]) -> Ideal:
     """Least two-sided ideal containing the generators.
 
-    Seeds with every product r*g*s and closes the seed under addition; the
-    seed is already absorbed by multiplication on both sides, so the additive
-    closure is the whole ideal.
+    The additive span of the products a*g*b, for a and b in the additive
+    basis: r*(a*g*b) is a sum of terms a'*g*b because r*a is a sum of basis
+    elements, so the span absorbs multiplication on both sides, and it holds
+    g = 1*g*1.
     """
     gen_idx = tuple(sorted({ring.index_of(g) for g in gens}))
-    seed = 1 << ring.zero_i
-    n = ring.order
+    return Ideal(ring, _generated_mask(ring, gen_idx), generators=gen_idx)
+
+
+def _generated_mask(ring: FiniteRing, gen_idx: Iterable[int]) -> int:
+    basis = additive_basis(ring)
     mul = ring.mul_i
+    products = []
     for g in gen_idx:
-        for r in range(n):
-            rg = mul(r, g)
-            for s in range(n):
-                seed |= 1 << mul(rg, s)
-    mask = additive_closure(ring, seed)
-    return Ideal(ring, mask, generators=gen_idx)
+        for a in basis:
+            row = ring.mul_row(mul(a, g))
+            products.extend(row[b] for b in basis)
+    return _grow(ring, products)[0]
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
@@ -170,25 +233,23 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
 
 
 def _sum_masks(ring: FiniteRing, am: int, bm: int) -> int:
-    add = ring.add_i
-    out = 0
-    for x in indices_of(am):
-        for y in indices_of(bm):
-            out |= 1 << add(x, y)
-    return out
+    return _span(ring, indices_of(am), indices_of(bm))[0]
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    """Ideal generated by all pairwise products x*y with x in a, y in b."""
+    """Ideal generated by all pairwise products x*y with x in a, y in b.
+
+    Every x*y is a sum of products of the two ideals' additive generators,
+    and the products of ideal members absorb ring multiplication on both
+    sides already, so the span of those products is the whole ideal.
+    """
     ring = _require_same_ring(a, b)
-    mul = ring.mul_i
-    seed = 1 << ring.zero_i
-    for x in a.indices:
-        for y in b.indices:
-            seed |= 1 << mul(x, y)
-    # products of ideal members absorb ring multiplication on both sides
-    # already, so the additive closure finishes the job
-    return Ideal(ring, additive_closure(ring, seed), verify=False)
+    right = _grow(ring, b.indices)[2]
+    products = []
+    for x in _grow(ring, a.indices)[2]:
+        row = ring.mul_row(x)
+        products.extend(row[y] for y in right)
+    return Ideal(ring, _grow(ring, products)[0], verify=False)
 
 
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -204,10 +265,20 @@ def all_ideals(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> List[Ideal]:
     """
 
     def fill():
+        # u*g generates the same ideal as g for every unit u, so each orbit
+        # of the units is spanned once, from its least element
+        unit_rows = [ring.mul_row(u) for u in units(ring)]
+        done = bytearray(ring.order)
         principal = {}
         for g in range(ring.order):
-            ideal = ideal_generated(ring, [g])
-            principal.setdefault(ideal.mask, ideal.generators)
+            if done[g]:
+                continue
+            for row in unit_rows:
+                done[row[g]] = 1
+            mask = _generated_mask(ring, (g,))
+            if mask not in principal:
+                verify_ideal(ring, mask)
+                principal[mask] = (g,)
         if len(principal) > cap:
             raise CapExceeded(f"{ring.spec}: more than {cap} ideals")
         pool = dict(principal)
@@ -237,8 +308,6 @@ def all_ideals(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> List[Ideal]:
 
 def is_nil_ideal(ideal: Ideal) -> bool:
     """True iff every member is nilpotent."""
-    from .classify import nilpotency_index
-
     return all(nilpotency_index(ideal.ring, i) is not None for i in ideal.indices)
 
 

@@ -2,8 +2,11 @@
 
 Everything here deliberately avoids the library's memoized classifier sets
 and shortcut algorithms: nilpotency by plain power iteration, units by full
-inverse scans, decompositions by a double loop over all pairs, and ring
-operations entry by entry from each constructor's defining formula.
+inverse scans, decompositions by a double loop over all pairs, ideals by
+all n^2 products r*g*s and pairwise closure, the radical by
+quasi-regularity, and ring operations entry by entry from each
+constructor's defining formula.  Member sets are int bit masks, bit i for
+element i, as in ``nilclean.ideals``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,59 @@ def naive_is_unit(ring, x: int) -> bool:
         ring.mul_i(x, y) == ring.one_i and ring.mul_i(y, x) == ring.one_i
         for y in range(ring.order)
     )
+
+
+def naive_additive_closure(ring, mask: int) -> int:
+    """Close a member mask (with zero added) under pairwise addition."""
+    closed = mask | 1 << ring.zero_i
+    queue = [i for i in range(ring.order) if closed >> i & 1]
+    while queue:
+        x = queue.pop()
+        for y in range(ring.order):
+            if closed >> y & 1:
+                s = ring.add_i(x, y)
+                if not closed >> s & 1:
+                    closed |= 1 << s
+                    queue.append(s)
+    return closed
+
+
+def naive_ideal_generated(ring, gens) -> int:
+    """Mask of the ideal generated by gens: every r*g*s, closed under +."""
+    seed = 0
+    for g in gens:
+        for r in range(ring.order):
+            rg = ring.mul_i(r, g)
+            for s in range(ring.order):
+                seed |= 1 << ring.mul_i(rg, s)
+    return naive_additive_closure(ring, seed)
+
+
+def naive_is_ideal(ring, mask: int) -> bool:
+    """Zero, negation, pairwise sums and both products with every r."""
+    members = [i for i in range(ring.order) if mask >> i & 1]
+    if not mask >> ring.zero_i & 1:
+        return False
+    for x in members:
+        if not mask >> ring.neg_i(x) & 1:
+            return False
+        if any(not mask >> ring.add_i(x, y) & 1 for y in members):
+            return False
+        for r in range(ring.order):
+            if not mask >> ring.mul_i(r, x) & 1 or not mask >> ring.mul_i(x, r) & 1:
+                return False
+    return True
+
+
+def naive_jacobson(ring) -> int:
+    """Mask of {x : 1 - r*x is a unit for every r} (quasi-regularity)."""
+    units = {y for y in range(ring.order) if naive_is_unit(ring, y)}
+    one = ring.one_i
+    mask = 0
+    for x in range(ring.order):
+        if all(ring.sub_i(one, ring.mul_i(r, x)) in units for r in range(ring.order)):
+            mask |= 1 << x
+    return mask
 
 
 def brute_pairs(ring, x: int, kind: str):
