@@ -249,10 +249,11 @@ def cmd_decompose(args) -> int:
     return EXIT_OK if decs else EXIT_FALSE
 
 
-def _report_rows(reports):
-    rows = [("id", "verdict", "instances", "hypotheses")]
+def _report_rows(reports, timings: bool):
+    rows = [("id", "verdict", "instances", "hypotheses") + (("millis",) if timings else ())]
     for r in reports:
-        rows.append((r.id, r.verdict, str(r.instances_tested), str(r.hypotheses_met)))
+        row = (r.id, r.verdict, str(r.instances_tested), str(r.hypotheses_met))
+        rows.append(row + ((f"{r.millis:.1f}",) if timings else ()))
     return rows
 
 
@@ -269,8 +270,8 @@ def cmd_theorems(args) -> int:
             }
         )
     else:
-        rows = _report_rows(reports)
-        widths = [max(len(row[i]) for row in rows) for i in range(4)]
+        rows = _report_rows(reports, args.timings)
+        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         for row in rows:
             sys.stdout.write(
                 "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()

@@ -69,6 +69,13 @@ def _span(ring: FiniteRing, members: Iterable[int], gens: Iterable[int]):
     ``ring.add_row(s)`` over the previous one.  Returns the grown mask, its
     members (H's first, then each coset in order) and the generators that
     grew it.
+
+    On a table that is no additive group the cosets can overlap, and the
+    member list could double with every generator.  A group's span never
+    lists more than ``order`` members, so past that no further coset is
+    added and each generator not yet reached is kept as it is.  The work
+    stays O(order^2), and each generator offered is still either kept or
+    reached as s + x, for a kept s and an earlier member x.
     """
     members = list(members)
     inside = bytearray(ring.order)
@@ -81,7 +88,7 @@ def _span(ring: FiniteRing, members: Iterable[int], gens: Iterable[int]):
         kept.append(s)
         row = ring.add_row(s)
         coset = members
-        while True:
+        while len(members) <= ring.order:
             coset = [row[x] for x in coset]
             # a coset of H is H itself or disjoint from it, and the first
             # return to H comes before any repeat of an earlier coset

@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's memoized classifier sets
 and shortcut algorithms: nilpotency by plain power iteration, units by full
 inverse scans, decompositions by a double loop over all pairs, ideals by
 all n^2 products r*g*s and pairwise closure, the radical by
-quasi-regularity, and ring operations entry by entry from each
-constructor's defining formula.  Member sets are int bit masks, bit i for
+quasi-regularity, commutativity and the center over all pairs, and ring
+operations entry by entry from each constructor's defining formula.  Member sets are int bit masks, bit i for
 element i, as in ``nilclean.ideals``.
 """
 
@@ -239,3 +239,21 @@ def reference_ops(ring):
         )
 
     raise ValueError(f"no reference for ring structure {kind!r}")
+
+
+def naive_is_commutative(ring) -> bool:
+    """xy = yx checked on every pair."""
+    mul = ring.mul_i
+    return all(
+        mul(i, j) == mul(j, i) for i in range(ring.order) for j in range(i + 1, ring.order)
+    )
+
+
+def naive_center(ring) -> frozenset:
+    """The x with xr = rx for every r."""
+    mul = ring.mul_i
+    return frozenset(
+        i
+        for i in range(ring.order)
+        if all(mul(i, r) == mul(r, i) for r in range(ring.order))
+    )

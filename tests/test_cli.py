@@ -8,6 +8,7 @@ from nilclean import make_zmod
 from nilclean.cli import main, table_json
 
 GOLDEN = Path(__file__).parent / "golden" / "theorems_default.json"
+GOLDEN_TABLE = Path(__file__).parent / "golden" / "theorems_default.txt"
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +280,23 @@ def test_theorems_timings_flag_adds_millis(capsys):
     assert code == 0
     report = json.loads(out)["reports"][0]
     assert "millis" in report
+
+
+def test_theorems_table_timings_adds_a_millis_column(capsys):
+    argv = ("theorems", "--ids", "L1", "PPP1", "--family", "Z4", "Z6")
+    _, plain, _ = run_cli(capsys, *argv)
+    code, timed, _ = run_cli(capsys, *argv, "--timings")
+    assert code == 0
+    header, *rows = timed.splitlines()
+    assert header.split() == ["id", "verdict", "instances", "hypotheses", "millis"]
+    assert [row.split()[:4] for row in rows] == [row.split() for row in plain.splitlines()[1:]]
+    assert all(float(row.split()[4]) >= 0 for row in rows)
+
+
+def test_theorems_default_table_matches_golden_fixture(capsys):
+    code, out, _ = run_cli(capsys, "theorems")
+    assert code == 0
+    assert out == GOLDEN_TABLE.read_text(encoding="utf-8")
 
 
 def test_theorems_default_matches_golden_fixture(capsys):
