@@ -2,10 +2,14 @@
 
 Each check evaluates one verified property (hypotheses first, then the
 conclusion, both directions for equivalences) over every instance its
-generator derives from the family, and reports a verdict with a serialized
+generator derives from one ring, and reports a verdict with a serialized
 witness on failure.  A counterexample verdict on any registered property is
 treated as a bug in this implementation, never as a mathematical discovery:
 that inversion is the harness's core contract.
+
+The runner walks the family once, in order: each ring is built, passes the
+axiom gate, advances every selected check that has no witness yet, and is
+released before the next is built, so one family ring is alive at a time.
 """
 
 from __future__ import annotations
@@ -27,12 +31,15 @@ from .classify import (
     units,
 )
 from .construct import (
+    DEFAULT_ORDER_CAP,
     TRI_POSITIONS,
     Caps,
+    _check_order,
     build,
-    make_corner,
     make_quotient,
     make_zmod,
+    parse_ring_spec,
+    spec_order,
 )
 from .decompose import (
     clean_decompositions,
@@ -121,14 +128,6 @@ class TheoremReport:
         return out
 
 
-@dataclass
-class CheckOutcome:
-    instances: int
-    hypotheses_met: int
-    witness: Optional[dict] = None
-    details: Optional[dict] = None
-
-
 @dataclass(frozen=True)
 class CheckDef:
     id: str
@@ -144,7 +143,8 @@ SKIP = object()
 
 
 def _register(check_id: str, statement: str, commutative_only: bool = False):
-    """Register fn(rings, caps) -> CheckOutcome under check_id."""
+    """Register fn(ring, caps, report) under check_id: fn adds one ring's
+    instances to the report and returns True once the check needs no more."""
 
     def register(fn: Callable) -> Callable:
         CHECKS[check_id] = CheckDef(check_id, statement, commutative_only, fn)
@@ -153,30 +153,44 @@ def _register(check_id: str, statement: str, commutative_only: bool = False):
     return register
 
 
-def _check(check_id: str, statement: str, commutative_only: bool = False):
-    """Register a check written as a generator over its instances.
+def _summed(total: Optional[dict], part: Optional[dict]) -> Optional[dict]:
+    """Per-ring details summed key by key; a non-count value is a constant."""
+    if total is None:
+        return part
+    return {k: total[k] + v if isinstance(v, int) else v for k, v in part.items()}
+
+
+def _tally(verdicts, report: TheoremReport) -> bool:
+    """Add one ring's verdicts to the report; True once a witness ends the check."""
+    while True:
+        try:
+            verdict = next(verdicts)
+        except StopIteration as finished:
+            report.details = _summed(report.details, finished.value)
+            return False
+        report.instances_tested += 1
+        if verdict is not SKIP:
+            report.hypotheses_met += 1
+            if verdict is not None:
+                report.witness, report.details = verdict, None
+                return True
+
+
+def _check(check_id: str, statement: str, commutative_only=False, once=False):
+    """Register a check written as a generator over one ring's instances.
 
     Per instance the generator yields SKIP when the hypothesis fails, None
     when the conclusion holds, or a witness dict, which ends the check.  Its
-    return value becomes the outcome's details.
+    return value is the ring's details, summed key by key over the rings the
+    check runs on.  A check registered with `once` is about rings of its own
+    rather than the family's: it runs on the first family ring only.
     """
 
     def register(instances: Callable) -> Callable:
-        def tally(rings, caps) -> CheckOutcome:
-            tested = met = 0
-            verdicts = instances(rings, caps)
-            while True:
-                try:
-                    verdict = next(verdicts)
-                except StopIteration as done:
-                    return CheckOutcome(tested, met, details=done.value)
-                tested += 1
-                if verdict is not SKIP:
-                    met += 1
-                    if verdict is not None:
-                        return CheckOutcome(tested, met, verdict)
+        def advance(ring: FiniteRing, caps: Caps, report: TheoremReport) -> bool:
+            return _tally(instances(ring, caps), report) or once
 
-        return _register(check_id, statement, commutative_only)(tally)
+        return _register(check_id, statement, commutative_only)(advance)
 
     return register
 
@@ -211,10 +225,6 @@ def _ideals(ring: FiniteRing, caps: Caps) -> List[Ideal]:
 
 def _divisors(n: int) -> List[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _of_structure(rings, tag: str):
-    return [r for r in rings if r.structure[0] == tag]
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +279,7 @@ def _subgroups_mod(g: int) -> List[frozenset]:
 
 
 # --------------------------------------------------------------------------
-# the checks, each a generator over its instances (see _check)
+# the checks, each a generator over one ring's instances (see _check)
 
 
 def _is_boolean_image(projection, ideal: Ideal) -> bool:
@@ -304,49 +314,44 @@ def _clean_pair_failure(ring: FiniteRing, ideal: Ideal):
 
 
 @_check("L1", "every nil-clean ideal is a clean ideal")
-def _check_l1(rings, caps):
+def _check_l1(ring, caps):
     clean_not_nil = 0
-    for ring in rings:
-        for ideal in _ideals(ring, caps):
-            nil_clean = is_nil_clean_ideal(ideal)
-            clean = is_clean_ideal(ideal)
-            clean_not_nil += clean and not nil_clean
-            if not nil_clean:
-                yield SKIP
-            elif not clean:
-                bad = next(
-                    x for x in ideal.indices if not clean_decompositions(ring, x)
-                )
-                yield _w(ring, "nil-clean ideal with a non-clean member", ideal, bad)
-            else:
-                yield _clean_pair_failure(ring, ideal)
+    for ideal in _ideals(ring, caps):
+        nil_clean = is_nil_clean_ideal(ideal)
+        clean = is_clean_ideal(ideal)
+        clean_not_nil += clean and not nil_clean
+        if not nil_clean:
+            yield SKIP
+        elif not clean:
+            bad = next(x for x in ideal.indices if not clean_decompositions(ring, x))
+            yield _w(ring, "nil-clean ideal with a non-clean member", ideal, bad)
+        else:
+            yield _clean_pair_failure(ring, ideal)
     return {"clean_but_not_nil_clean": clean_not_nil}
 
 
 @_check("PPP1", "a nil-clean ideal meets the radical in a nil ideal")
-def _check_ppp1(rings, caps):
-    for ring in rings:
-        radical = jacobson_radical(ring)
-        for ideal in _ideals(ring, caps):
-            if not is_nil_clean_ideal(ideal):
-                yield SKIP
-                continue
-            meet = ideal_intersect(ideal, radical)
-            reason = "radical meet contains a non-nilpotent"
-            yield _nil_or_witness(ring, meet, reason, ideal)
+def _check_ppp1(ring, caps):
+    radical = jacobson_radical(ring)
+    for ideal in _ideals(ring, caps):
+        if not is_nil_clean_ideal(ideal):
+            yield SKIP
+            continue
+        meet = ideal_intersect(ideal, radical)
+        reason = "radical meet contains a non-nilpotent"
+        yield _nil_or_witness(ring, meet, reason, ideal)
 
 
 @_check("PPP1_cor", "in a nil-clean ring the radical sits inside the nilpotents")
-def _check_ppp1_cor(rings, caps):
-    for ring in rings:
-        if not is_nil_clean_ring(ring):
-            yield SKIP
-            continue
-        radical = jacobson_radical(ring)
-        nil = nilpotents(ring)
-        bad = next((x for x in radical.indices if x not in nil), None)
-        reason = "radical member outside the nilpotents"
-        yield _unless(bad is None, ring, reason, radical, bad)
+def _check_ppp1_cor(ring, caps):
+    if not is_nil_clean_ring(ring):
+        yield SKIP
+        return
+    radical = jacobson_radical(ring)
+    nil = nilpotents(ring)
+    bad = next((x for x in radical.indices if x not in nil), None)
+    reason = "radical member outside the nilpotents"
+    yield _unless(bad is None, ring, reason, radical, bad)
 
 
 @_check(
@@ -354,48 +359,45 @@ def _check_ppp1_cor(rings, caps):
     "products of nil-clean ideals stay nil-clean (commutative)",
     commutative_only=True,
 )
-def _check_prod_ideals(rings, caps):
-    for ring in rings:
-        ideals = _ideals(ring, caps)
-        for left, right in itertools.combinations_with_replacement(ideals, 2):
-            if not (is_nil_clean_ideal(left) and is_nil_clean_ideal(right)):
-                yield SKIP
-                continue
-            product = ideal_product(left, right)
-            reason = "product of nil-clean ideals is not nil-clean"
-            yield _unless(is_nil_clean_ideal(product), ring, reason, product)
+def _check_prod_ideals(ring, caps):
+    ideals = _ideals(ring, caps)
+    for left, right in itertools.combinations_with_replacement(ideals, 2):
+        if not (is_nil_clean_ideal(left) and is_nil_clean_ideal(right)):
+            yield SKIP
+            continue
+        product = ideal_product(left, right)
+        reason = "product of nil-clean ideals is not nil-clean"
+        yield _unless(is_nil_clean_ideal(product), ring, reason, product)
 
 
 @_check("strong_iff", "strongly nil-clean = strongly clean with nilpotent a - a^2")
-def _check_strong_iff(rings, caps):
+def _check_strong_iff(ring, caps):
     reason = "strongly nil-clean disagrees with strongly clean + nilpotent defect"
-    for ring in rings:
-        for ideal in _ideals(ring, caps):
-            lhs = is_strongly_nil_clean_ideal(ideal)
-            rhs = is_strongly_clean_ideal(ideal) and all(
-                nilpotency_index(ring, ring.sub_i(x, ring.mul_i(x, x))) is not None
-                for x in ideal.indices
-            )
-            yield _iff(lhs, rhs, ring, reason, ideal)
+    for ideal in _ideals(ring, caps):
+        lhs = is_strongly_nil_clean_ideal(ideal)
+        rhs = is_strongly_clean_ideal(ideal) and all(
+            nilpotency_index(ring, ring.sub_i(x, ring.mul_i(x, x))) is not None
+            for x in ideal.indices
+        )
+        yield _iff(lhs, rhs, ring, reason, ideal)
 
 
 @_check(
     "strong_unique", "strongly nil-clean ideals are uniquely strongly (nil-)clean"
 )
-def _check_strong_unique(rings, caps):
+def _check_strong_unique(ring, caps):
     divergences = 0
-    for ring in rings:
-        for ideal in _ideals(ring, caps):
-            unique = is_uniquely_nil_clean_ideal(ideal)
-            divergences += unique != is_uniquely_strongly_nil_clean_ideal(ideal)
-            if not is_strongly_nil_clean_ideal(ideal):
-                yield SKIP
-            elif not is_uniquely_strongly_nil_clean_ideal(ideal):
-                yield _w(ring, "strongly nil-clean but not uniquely so", ideal)
-            else:
-                ok = is_uniquely_strongly_clean_ideal(ideal)
-                reason = "strongly nil-clean but not uniquely strongly clean"
-                yield _unless(ok, ring, reason, ideal)
+    for ideal in _ideals(ring, caps):
+        unique = is_uniquely_nil_clean_ideal(ideal)
+        divergences += unique != is_uniquely_strongly_nil_clean_ideal(ideal)
+        if not is_strongly_nil_clean_ideal(ideal):
+            yield SKIP
+        elif not is_uniquely_strongly_nil_clean_ideal(ideal):
+            yield _w(ring, "strongly nil-clean but not uniquely so", ideal)
+        else:
+            ok = is_uniquely_strongly_clean_ideal(ideal)
+            reason = "strongly nil-clean but not uniquely strongly clean"
+            yield _unless(ok, ring, reason, ideal)
     return {"unique_vs_strongly_unique_divergences": divergences}
 
 
@@ -404,66 +406,58 @@ def _check_strong_unique(rings, caps):
     "with the radical inside: nil-clean = boolean modulo a nil radical",
     commutative_only=True,
 )
-def _check_ttt1(rings, caps):
+def _check_ttt1(ring, caps):
     reason = "boolean-modulo-radical disagrees with nil-clean"
-    for ring in rings:
-        radical = jacobson_radical(ring)
-        radical_nil = is_nil_ideal(radical)
-        _, projection = make_quotient(ring, radical)
-        for ideal in _ideals(ring, caps):
-            if ideal.mask & radical.mask != radical.mask:
-                yield SKIP  # needs the radical inside the ideal
-                continue
-            lhs = radical_nil and _is_boolean_image(projection, ideal)
-            yield _iff(lhs, is_nil_clean_ideal(ideal), ring, reason, ideal)
+    radical = jacobson_radical(ring)
+    radical_nil = is_nil_ideal(radical)
+    _, projection = make_quotient(ring, radical)
+    for ideal in _ideals(ring, caps):
+        if ideal.mask & radical.mask != radical.mask:
+            yield SKIP  # needs the radical inside the ideal
+            continue
+        lhs = radical_nil and _is_boolean_image(projection, ideal)
+        yield _iff(lhs, is_nil_clean_ideal(ideal), ring, reason, ideal)
 
 
 @_check("central_idem", "idempotents of uniquely nil-clean ideals are central")
-def _check_central_idem(rings, caps):
+def _check_central_idem(ring, caps):
     reason = "non-central idempotent in a uniquely nil-clean ideal"
-    for ring in rings:
-        idem = idempotents(ring)
-        for ideal in _ideals(ring, caps):
-            if not is_uniquely_nil_clean_ideal(ideal):
-                yield SKIP
-                continue
-            bad = next(
-                (x for x in ideal.indices if x in idem and not is_central(ring, x)),
-                None,
-            )
-            yield _unless(bad is None, ring, reason, ideal, bad)
+    idem = idempotents(ring)
+    for ideal in _ideals(ring, caps):
+        if not is_uniquely_nil_clean_ideal(ideal):
+            yield SKIP
+            continue
+        bad = next(
+            (x for x in ideal.indices if x in idem and not is_central(ring, x)),
+            None,
+        )
+        yield _unless(bad is None, ring, reason, ideal, bad)
 
 
 @_check("main1", "nil-clean ideals split with both parts inside the ideal")
-def _check_main1(rings, caps):
+def _check_main1(ring, caps):
     reason = "nil-clean disagrees with both-parts-inside splitting"
-    for ring in rings:
-        for ideal in _ideals(ring, caps):
-            lhs = is_nil_clean_ideal(ideal)
-            bad = next(
-                (
-                    x
-                    for x in ideal.indices
-                    if not decomposition_within_ideal(ideal, x)
-                ),
-                None,
-            )
-            yield _unless(lhs == (bad is None), ring, reason, ideal, bad)
+    for ideal in _ideals(ring, caps):
+        lhs = is_nil_clean_ideal(ideal)
+        bad = next(
+            (x for x in ideal.indices if not decomposition_within_ideal(ideal, x)),
+            None,
+        )
+        yield _unless(lhs == (bad is None), ring, reason, ideal, bad)
 
 
 @_check(
     "local_cor", "without nontrivial idempotents, proper nil-clean ideals are nil"
 )
-def _check_local_cor(rings, caps):
+def _check_local_cor(ring, caps):
     reason = "proper nil-clean ideal that is not nil"
-    for ring in rings:
-        if idempotents(ring) != frozenset({ring.zero_i, ring.one_i}):
-            continue
-        for ideal in _ideals(ring, caps):
-            if ideal.is_proper and is_nil_clean_ideal(ideal):
-                yield _nil_or_witness(ring, ideal, reason, ideal)
-            else:
-                yield SKIP
+    if idempotents(ring) != frozenset({ring.zero_i, ring.one_i}):
+        return
+    for ideal in _ideals(ring, caps):
+        if ideal.is_proper and is_nil_clean_ideal(ideal):
+            yield _nil_or_witness(ring, ideal, reason, ideal)
+        else:
+            yield SKIP
 
 
 @_check(
@@ -471,16 +465,15 @@ def _check_local_cor(rings, caps):
     "nil-clean = boolean modulo a nil meet with the radical (commutative)",
     commutative_only=True,
 )
-def _check_mmm(rings, caps):
+def _check_mmm(ring, caps):
     reason = "nil-clean disagrees with boolean-modulo-meet splitting"
-    for ring in rings:
-        radical = jacobson_radical(ring)
-        for ideal in _ideals(ring, caps):
-            meet = ideal_intersect(ideal, radical)
-            _, projection = make_quotient(ring, meet)
-            lhs = is_nil_clean_ideal(ideal)
-            rhs = is_nil_ideal(meet) and _is_boolean_image(projection, ideal)
-            yield _iff(lhs, rhs, ring, reason, ideal)
+    radical = jacobson_radical(ring)
+    for ideal in _ideals(ring, caps):
+        meet = ideal_intersect(ideal, radical)
+        _, projection = make_quotient(ring, meet)
+        lhs = is_nil_clean_ideal(ideal)
+        rhs = is_nil_ideal(meet) and _is_boolean_image(projection, ideal)
+        yield _iff(lhs, rhs, ring, reason, ideal)
 
 
 def _generates_nil_clean(ring: FiniteRing, e: int) -> bool:
@@ -491,42 +484,39 @@ def _generates_nil_clean(ring: FiniteRing, e: int) -> bool:
     "main",
     "nil-clean ring = some central idempotent splits it into nil-clean ideals",
 )
-def _check_main(rings, caps):
+def _check_main(ring, caps):
     reason = "splitting central idempotent disagrees with nil-clean ring"
-    for ring in rings:
-        exists = any(
-            _generates_nil_clean(ring, e)
-            and _generates_nil_clean(ring, ring.sub_i(ring.one_i, e))
-            for e in sorted(idempotents(ring) & center(ring))
-        )
-        yield _iff(exists, is_nil_clean_ring(ring), ring, reason)
+    exists = any(
+        _generates_nil_clean(ring, e)
+        and _generates_nil_clean(ring, ring.sub_i(ring.one_i, e))
+        for e in sorted(idempotents(ring) & center(ring))
+    )
+    yield _iff(exists, is_nil_clean_ring(ring), ring, reason)
 
 
 @_check(
     "complete_set",
     "nil-clean ring = a complete central set generates nil-clean ideals",
 )
-def _check_complete_set(rings, caps):
+def _check_complete_set(ring, caps):
     reason = "complete-set generation disagrees with nil-clean ring"
-    for ring in rings:
-        exists = any(
-            all(_generates_nil_clean(ring, e) for e in combo)
-            for combo in complete_orthogonal_central_sets(ring)
-        )
-        yield _iff(exists, is_nil_clean_ring(ring), ring, reason)
+    exists = any(
+        all(_generates_nil_clean(ring, e) for e in combo)
+        for combo in complete_orthogonal_central_sets(ring)
+    )
+    yield _iff(exists, is_nil_clean_ring(ring), ring, reason)
 
 
 @_check("corner", "nil-clean ideal = nil-clean in every corner of a complete set")
-def _check_corner(rings, caps):
-    for ring in rings:
-        combos = complete_orthogonal_central_sets(ring)
-        for ideal in _ideals(ring, caps):
-            lhs = is_nil_clean_ideal(ideal)
-            rhs = any(
-                all(is_nil_clean_ideal(corner_ideal(ring, e, ideal)) for e in combo)
-                for combo in combos
-            )
-            yield _iff(lhs, rhs, ring, "corner cuts disagree with nil-clean", ideal)
+def _check_corner(ring, caps):
+    combos = complete_orthogonal_central_sets(ring)
+    for ideal in _ideals(ring, caps):
+        lhs = is_nil_clean_ideal(ideal)
+        rhs = any(
+            all(is_nil_clean_ideal(corner_ideal(ring, e, ideal)) for e in combo)
+            for combo in combos
+        )
+        yield _iff(lhs, rhs, ring, "corner cuts disagree with nil-clean", ideal)
 
 
 def _lift_failure(ring: FiniteRing, nil: Ideal, outer: Ideal):
@@ -541,73 +531,70 @@ def _lift_failure(ring: FiniteRing, nil: Ideal, outer: Ideal):
 
 
 @_check("lift_mod_nil", "nil-clean transfers both ways across a nil-ideal quotient")
-def _check_lift_mod_nil(rings, caps):
+def _check_lift_mod_nil(ring, caps):
     reason = "nil-clean does not transfer along the nil quotient"
-    for ring in rings:
-        ideals = _ideals(ring, caps)
-        for nil in (i for i in ideals if is_nil_ideal(i)):
-            _, projection = make_quotient(ring, nil)
-            for outer in ideals:
-                if outer.mask & nil.mask != nil.mask:
-                    continue
-                lhs = is_nil_clean_ideal(outer)
-                rhs = is_nil_clean_ideal(image_ideal(projection, outer))
-                modulo = sorted(nil.indices)
-                witness = _iff(lhs, rhs, ring, reason, outer, modulo=modulo)
-                yield witness or _lift_failure(ring, nil, outer)
+    ideals = _ideals(ring, caps)
+    for nil in (i for i in ideals if is_nil_ideal(i)):
+        _, projection = make_quotient(ring, nil)
+        for outer in ideals:
+            if outer.mask & nil.mask != nil.mask:
+                continue
+            lhs = is_nil_clean_ideal(outer)
+            rhs = is_nil_clean_ideal(image_ideal(projection, outer))
+            modulo = sorted(nil.indices)
+            witness = _iff(lhs, rhs, ring, reason, outer, modulo=modulo)
+            yield witness or _lift_failure(ring, nil, outer)
 
 
 @_check("hom_image", "projections of nil-clean ideals are nil-clean")
-def _check_hom_image(rings, caps):
+def _check_hom_image(ring, caps):
     reason = "projected nil-clean ideal stops being nil-clean"
-    for ring in rings:
-        ideals = _ideals(ring, caps)
-        for kernel in (k for k in ideals if k.is_proper):
-            _, projection = make_quotient(ring, kernel)
-            members = sorted(kernel.indices)
-            for ideal in ideals:
-                if not is_nil_clean_ideal(ideal):
-                    yield SKIP
-                    continue
-                image = image_ideal(projection, ideal)
-                ok = is_nil_clean_ideal(image)
-                yield _unless(ok, ring, reason, ideal, kernel=members)
+    ideals = _ideals(ring, caps)
+    for kernel in (k for k in ideals if k.is_proper):
+        _, projection = make_quotient(ring, kernel)
+        members = sorted(kernel.indices)
+        for ideal in ideals:
+            if not is_nil_clean_ideal(ideal):
+                yield SKIP
+                continue
+            image = image_ideal(projection, ideal)
+            ok = is_nil_clean_ideal(image)
+            yield _unless(ok, ring, reason, ideal, kernel=members)
 
 
 @_check("fin_prod", "finite product ideals are nil-clean iff every component is")
-def _check_fin_prod(rings, caps):
+def _check_fin_prod(ring, caps):
     reason = "componentwise nil-clean disagrees with the product ideal"
-    for ring in _of_structure(rings, "product"):
-        per_part = [_ideals(part, caps) for part in ring.structure[1]]
-        for combo in itertools.product(*per_part):
-            product = _product_ideal(ring, combo)
-            lhs = all(is_nil_clean_ideal(c) for c in combo)
-            rhs = is_nil_clean_ideal(product)
-            yield _iff(lhs, rhs, ring, reason, product)
+    if ring.structure[0] != "product":
+        return
+    per_part = [_ideals(part, caps) for part in ring.structure[1]]
+    for combo in itertools.product(*per_part):
+        product = _product_ideal(ring, combo)
+        lhs = all(is_nil_clean_ideal(c) for c in combo)
+        rhs = is_nil_clean_ideal(product)
+        yield _iff(lhs, rhs, ring, reason, product)
 
 
 @_check(
     "dirsum",
     "a nil-clean-by-not product ring is not nil-clean but its first strip is",
 )
-def _check_dirsum(rings, caps):
-    for ring in _of_structure(rings, "product"):
-        parts = ring.structure[1]
-        if len(parts) != 2:
-            continue
-        first, second = parts
-        if not (is_nil_clean_ring(first) and not is_nil_clean_ring(second)):
-            yield SKIP
-        elif is_nil_clean_ring(ring):
-            yield _w(ring, "mixed product ring is unexpectedly nil-clean")
-        else:
-            strip = _product_ideal(ring, [unit_ideal(first), zero_ideal(second)])
-            reason = "first-factor strip is not a nil-clean ideal"
-            yield _unless(is_nil_clean_ideal(strip), ring, reason, strip)
+def _check_dirsum(ring, caps):
+    if ring.structure[0] != "product" or len(ring.structure[1]) != 2:
+        return
+    first, second = ring.structure[1]
+    if not (is_nil_clean_ring(first) and not is_nil_clean_ring(second)):
+        yield SKIP
+    elif is_nil_clean_ring(ring):
+        yield _w(ring, "mixed product ring is unexpectedly nil-clean")
+    else:
+        strip = _product_ideal(ring, [unit_ideal(first), zero_ideal(second)])
+        reason = "first-factor strip is not a nil-clean ideal"
+        yield _unless(is_nil_clean_ideal(strip), ring, reason, strip)
 
 
-@_check("nilindex_growth", "the nilpotency index of 2 modulo 2^n is exactly n")
-def _check_nilindex_growth(rings, caps):
+@_check("nilindex_growth", "the nilpotency index of 2 modulo 2^n is exactly n", once=True)
+def _check_nilindex_growth(_, caps):
     for n in range(1, 11):
         modulus = 2 ** n
         ring = make_zmod(modulus, cap=max(caps.order_cap, modulus))
@@ -617,33 +604,35 @@ def _check_nilindex_growth(rings, caps):
 
 
 @_check("D211", "triangular idempotents/nilpotents are controlled by the diagonal")
-def _check_d211(rings, caps):
-    for tri in _of_structure(rings, "tri"):
-        n, base = tri.structure[1], tri.structure[2]
-        diag_slots = [t for t, (r, c) in enumerate(TRI_POSITIONS[n]) if r == c]
-        for i in range(tri.order):
-            entries = tri.decode(i)
-            diag = [entries[t] for t in diag_slots]
-            if is_idempotent(tri, i) and any(base.mul_i(d, d) != d for d in diag):
-                reason = "idempotent matrix with non-idempotent diagonal"
-                yield _w(tri, reason, element=i)
-                continue
-            lhs = nilpotency_index(tri, i) is not None
-            rhs = all(nilpotency_index(base, d) is not None for d in diag)
-            reason = "matrix nilpotency disagrees with diagonal nilpotency"
-            yield _unless(lhs == rhs, tri, reason, element=i)
+def _check_d211(tri, caps):
+    if tri.structure[0] != "tri":
+        return
+    n, base = tri.structure[1], tri.structure[2]
+    diag_slots = [t for t, (r, c) in enumerate(TRI_POSITIONS[n]) if r == c]
+    for i in range(tri.order):
+        entries = tri.decode(i)
+        diag = [entries[t] for t in diag_slots]
+        if is_idempotent(tri, i) and any(base.mul_i(d, d) != d for d in diag):
+            reason = "idempotent matrix with non-idempotent diagonal"
+            yield _w(tri, reason, element=i)
+            continue
+        lhs = nilpotency_index(tri, i) is not None
+        rhs = all(nilpotency_index(base, d) is not None for d in diag)
+        reason = "matrix nilpotency disagrees with diagonal nilpotency"
+        yield _unless(lhs == rhs, tri, reason, element=i)
 
 
 @_check("TT1", "entrywise triangular ideals are nil-clean iff the base ideal is")
-def _check_tt1(rings, caps):
+def _check_tt1(tri, caps):
     reason = "entrywise ideal disagrees with its base ideal"
-    for tri in _of_structure(rings, "tri"):
-        for ideal in _ideals(tri.structure[2], caps):
-            lifted = _tri_full_ideal(tri, ideal)
-            lhs = is_nil_clean_ideal(ideal)
-            rhs = is_nil_clean_ideal(lifted)
-            base_ideal = sorted(ideal.indices)
-            yield _iff(lhs, rhs, tri, reason, lifted, base_ideal=base_ideal)
+    if tri.structure[0] != "tri":
+        return
+    for ideal in _ideals(tri.structure[2], caps):
+        lifted = _tri_full_ideal(tri, ideal)
+        lhs = is_nil_clean_ideal(ideal)
+        rhs = is_nil_clean_ideal(lifted)
+        base_ideal = sorted(ideal.indices)
+        yield _iff(lhs, rhs, tri, reason, lifted, base_ideal=base_ideal)
 
 
 def _idealization_failure(ring: FiniteRing, base: FiniteRing, i: int):
@@ -668,31 +657,33 @@ def _idealization_failure(ring: FiniteRing, base: FiniteRing, i: int):
     "RM",
     "idealization powers, nilpotency, idempotency reduce to the first slot",
 )
-def _check_rm(rings, caps):
-    for ring in _of_structure(rings, "idealization"):
-        base = make_zmod(ring.structure[1])
-        for i in range(ring.order):
-            yield _idealization_failure(ring, base, i)
+def _check_rm(ring, caps):
+    if ring.structure[0] != "idealization":
+        return
+    base = make_zmod(ring.structure[1])
+    for i in range(ring.order):
+        yield _idealization_failure(ring, base, i)
 
 
 @_check("RM1", "idealization ideals are nil-clean iff the base ideal is")
-def _check_rm1(rings, caps):
+def _check_rm1(ring, caps):
     reason = "pairing with a submodule changes nil-cleanness"
-    for ring in _of_structure(rings, "idealization"):
-        _, n, m = ring.structure
-        for ideal in _ideals(make_zmod(n), caps):
-            for d in _divisors(m):
-                try:
-                    lifted = _idealization_ideal(ring, ideal, d)
-                except NotAnIdeal:
-                    # the pair set is only an ideal when ideal * module lands
-                    # inside the submodule; other pairs carry no claim
-                    yield SKIP
-                    continue
-                lhs = is_nil_clean_ideal(ideal)
-                rhs = is_nil_clean_ideal(lifted)
-                pair = {"base_ideal": sorted(ideal.indices), "submodule_step": d}
-                yield _iff(lhs, rhs, ring, reason, lifted, **pair)
+    if ring.structure[0] != "idealization":
+        return
+    _, n, m = ring.structure
+    for ideal in _ideals(make_zmod(n), caps):
+        for d in _divisors(m):
+            try:
+                lifted = _idealization_ideal(ring, ideal, d)
+            except NotAnIdeal:
+                # the pair set is only an ideal when ideal * module lands
+                # inside the submodule; other pairs carry no claim
+                yield SKIP
+                continue
+            lhs = is_nil_clean_ideal(ideal)
+            rhs = is_nil_clean_ideal(lifted)
+            pair = {"base_ideal": sorted(ideal.indices), "submodule_step": d}
+            yield _iff(lhs, rhs, ring, reason, lifted, **pair)
 
 
 def _morita_containments(a: int, b: int, g: int, a1, b1, m1, n1) -> bool:
@@ -715,44 +706,44 @@ def _is_ideal(ring: FiniteRing, members) -> bool:
 
 
 @_check("morita_proj", "context ideals are exactly the containment-closed block sets")
-def _check_morita_proj(rings, caps):
-    for ring in _of_structure(rings, "morita_zero"):
-        _, a, b, g = ring.structure
-        ring_a = make_zmod(a)
-        ring_b = make_zmod(b)
-        ideals = _ideals(ring, caps)
-        known = {ideal.mask for ideal in ideals}
-        for ideal in ideals:
-            a1, b1, m1, n1 = _morita_projections(ring, ideal)
-            block = _morita_block_members(ring, a1, b1, m1, n1)
-            if tuple(block) != ideal.indices:
-                yield _w(ring, "ideal is not the block set of its projections", ideal)
-            elif not (_is_ideal(ring_a, a1) and _is_ideal(ring_b, b1)):
-                yield _w(ring, "diagonal projection is not an ideal", ideal)
-            else:
-                ok = _morita_containments(a, b, g, a1, b1, m1, n1)
-                reason = "projections violate the block containments"
-                yield _unless(ok, ring, reason, ideal)
-        # converse: every containment-satisfying quadruple gives an ideal
-        for ia, ib, m1, n1 in itertools.product(
-            _ideals(ring_a, caps),
-            _ideals(ring_b, caps),
-            _subgroups_mod(g),
-            _subgroups_mod(g),
-        ):
-            a1 = set(ia.indices)
-            b1 = set(ib.indices)
-            if not _morita_containments(a, b, g, a1, b1, m1, n1):
-                continue
-            members = _morita_block_members(ring, a1, b1, m1, n1)
-            try:
-                block = Ideal.from_members(ring, members)
-            except NilCleanError:
-                reason = "containment-satisfying block set is not an ideal"
-                yield _w(ring, reason, ideal=members)
-                continue
-            reason = "block ideal missing from the ideal list"
-            yield _unless(block.mask in known, ring, reason, block)
+def _check_morita_proj(ring, caps):
+    if ring.structure[0] != "morita_zero":
+        return
+    _, a, b, g = ring.structure
+    ring_a, ring_b = make_zmod(a), make_zmod(b)
+    ideals = _ideals(ring, caps)
+    known = {ideal.mask for ideal in ideals}
+    for ideal in ideals:
+        a1, b1, m1, n1 = _morita_projections(ring, ideal)
+        block = _morita_block_members(ring, a1, b1, m1, n1)
+        if tuple(block) != ideal.indices:
+            yield _w(ring, "ideal is not the block set of its projections", ideal)
+        elif not (_is_ideal(ring_a, a1) and _is_ideal(ring_b, b1)):
+            yield _w(ring, "diagonal projection is not an ideal", ideal)
+        else:
+            ok = _morita_containments(a, b, g, a1, b1, m1, n1)
+            reason = "projections violate the block containments"
+            yield _unless(ok, ring, reason, ideal)
+    # converse: every containment-satisfying quadruple gives an ideal
+    for ia, ib, m1, n1 in itertools.product(
+        _ideals(ring_a, caps),
+        _ideals(ring_b, caps),
+        _subgroups_mod(g),
+        _subgroups_mod(g),
+    ):
+        a1 = set(ia.indices)
+        b1 = set(ib.indices)
+        if not _morita_containments(a, b, g, a1, b1, m1, n1):
+            continue
+        members = _morita_block_members(ring, a1, b1, m1, n1)
+        try:
+            block = Ideal.from_members(ring, members)
+        except NilCleanError:
+            reason = "containment-satisfying block set is not an ideal"
+            yield _w(ring, reason, ideal=members)
+            continue
+        reason = "block ideal missing from the ideal list"
+        yield _unless(block.mask in known, ring, reason, block)
 
 
 _MORITA_NOTE = "second diagonal conclusion read as the lower-right block"
@@ -767,11 +758,10 @@ def _morita_diagonal_ideals(ring: FiniteRing, ideal: Ideal, ring_a, ring_b):
     "morita_corner",
     "strongly nil-clean context ideals have strongly nil-clean diagonals",
 )
-def _check_morita_corner(rings, caps):
-    for ring in _of_structure(rings, "morita_zero"):
+def _check_morita_corner(ring, caps):
+    if ring.structure[0] == "morita_zero":
         _, a, b, _ = ring.structure
-        ring_a = make_zmod(a)
-        ring_b = make_zmod(b)
+        ring_a, ring_b = make_zmod(a), make_zmod(b)
         for ideal in _ideals(ring, caps):
             if not is_strongly_nil_clean_ideal(ideal):
                 yield SKIP
@@ -790,104 +780,99 @@ def _check_morita_corner(rings, caps):
     "morita_zero_iff",
     "zero pairing: context ideal nil-clean iff both diagonals are (both readings)",
 )
-def _check_morita_zero_iff(rings, caps) -> CheckOutcome:
-    # both readings are reported, so this check does not stop at a witness
-    inst = 0
-    strong_witness = plain_witness = None
-    for ring in _of_structure(rings, "morita_zero"):
-        _, a, b, _ = ring.structure
-        ring_a = make_zmod(a)
-        ring_b = make_zmod(b)
-        for ideal in _ideals(ring, caps):
-            inst += 1
-            left, right = _morita_diagonal_ideals(ring, ideal, ring_a, ring_b)
-            rhs = is_strongly_nil_clean_ideal(left) and is_strongly_nil_clean_ideal(
-                right
-            )
-            if strong_witness is None and is_strongly_nil_clean_ideal(ideal) != rhs:
-                strong_witness = _w(
-                    ring, "strong reading fails", ideal, reading="strong"
-                )
-            if plain_witness is None and is_nil_clean_ideal(ideal) != rhs:
-                plain_witness = _w(ring, "plain reading fails", ideal, reading="plain")
-    details = {
-        "strong_reading": "counterexample" if strong_witness else "verified",
-        "plain_reading": "counterexample" if plain_witness else "verified",
-        "interpretation": _MORITA_NOTE,
-    }
-    return CheckOutcome(inst, inst, strong_witness or plain_witness, details)
+def _check_morita_zero_iff(ring, caps, report) -> bool:
+    # both readings are reported, so this check never stops at a witness: the
+    # report keeps the first failure of each reading, the strong one first
+    readings = report.details = report.details or dict(
+        strong_reading="verified", plain_reading="verified", interpretation=_MORITA_NOTE
+    )
+    if ring.structure[0] != "morita_zero":
+        return False
+    _, a, b, _ = ring.structure
+    ring_a, ring_b = make_zmod(a), make_zmod(b)
+    for ideal in _ideals(ring, caps):
+        report.instances_tested += 1
+        report.hypotheses_met += 1
+        sides = _morita_diagonal_ideals(ring, ideal, ring_a, ring_b)
+        rhs = all(map(is_strongly_nil_clean_ideal, sides))
+        strong_held = readings["strong_reading"] == "verified"
+        if strong_held and is_strongly_nil_clean_ideal(ideal) != rhs:
+            readings["strong_reading"] = "counterexample"
+            report.witness = _w(ring, "strong reading fails", ideal, reading="strong")
+        if readings["plain_reading"] == "verified" and is_nil_clean_ideal(ideal) != rhs:
+            readings["plain_reading"] = "counterexample"
+            plain = _w(ring, "plain reading fails", ideal, reading="plain")
+            report.witness = report.witness or plain
+    return False
 
 
 @_check("tri_cor", "2x2 triangular pair ideals are nil-clean iff both corners are")
-def _check_tri_cor(rings, caps):
+def _check_tri_cor(tri, caps):
     reason = "corner pair disagrees with the triangular ideal"
-    for tri in _of_structure(rings, "tri"):
-        if tri.structure[1] != 2:
+    if tri.structure[0] != "tri" or tri.structure[1] != 2:
+        return
+    ideals = _ideals(tri.structure[2], caps)
+    for left, right in itertools.product(ideals, ideals):
+        lifted = _tri2_pair_ideal(tri, left, right)
+        lhs = is_nil_clean_ideal(left) and is_nil_clean_ideal(right)
+        rhs = is_nil_clean_ideal(lifted)
+        yield _iff(lhs, rhs, tri, reason, lifted)
+
+
+def _admitted(entry, caps: Caps):
+    """A family entry parsed and its order checked against the caps, unbuilt."""
+    if isinstance(entry, FiniteRing):
+        return entry
+    spec = parse_ring_spec(entry) if isinstance(entry, str) else entry
+    _check_order(spec_order(spec, DEFAULT_ORDER_CAP), caps.order_cap, f"spec {spec}")
+    return spec
+
+
+def _release(ring: FiniteRing) -> None:
+    """Empty the memos and element handles of a ring the runner is done with.
+
+    Memoized ideals, quotient maps and element handles point back at their
+    ring, so a dropped ring would wait for the cycle collector.  The rings in
+    its structure and the quotients and corners in its memo go with it.
+    """
+    todo, seen = [ring], set()
+    while todo:
+        ring = todo.pop()
+        if id(ring) in seen:
             continue
-        ideals = _ideals(tri.structure[2], caps)
-        for left, right in itertools.product(ideals, ideals):
-            lifted = _tri2_pair_ideal(tri, left, right)
-            lhs = is_nil_clean_ideal(left) and is_nil_clean_ideal(right)
-            rhs = is_nil_clean_ideal(lifted)
-            yield _iff(lhs, rhs, tri, reason, lifted)
+        seen.add(id(ring))
+        for part in ring.structure[1:] + tuple(ring._memo.values()):
+            parts = part if isinstance(part, tuple) else (part,)
+            todo.extend(p for p in parts if isinstance(p, FiniteRing))
+        ring._memo.clear()
+        ring._elems = None
 
 
-def _as_rings(family, caps: Caps) -> List[FiniteRing]:
-    return [entry if isinstance(entry, FiniteRing) else build(entry, caps) for entry in family]
-
-
-def _gate(rings: List[FiniteRing]) -> None:
-    """Verify every family ring's axioms before any check runs."""
-    for ring in rings:
-        mode = "exhaustive" if ring.order <= EXHAUSTIVE_LIMIT else "sampled"
-        report = verify_axioms(ring, mode=mode, count=10_000)
-        if not report.ok:
-            raise AxiomFailure(report)
-
-
-def _run_one(check: CheckDef, rings: List[FiniteRing], caps: Caps) -> TheoremReport:
-    usable = [r for r in rings if not check.commutative_only or is_commutative(r)]
+def _advance(check: CheckDef, ring: FiniteRing, caps: Caps, reports) -> bool:
+    """Run one check on one ring; True once the check needs no further ring."""
+    if check.commutative_only and not is_commutative(ring):
+        return False
+    report = reports[check.id]
     start = time.perf_counter()
-    if not usable:
-        outcome = CheckOutcome(0, 0)
+    try:
+        done = check.fn(ring, caps, report)
+    except NilCleanError as exc:
+        failed = TheoremReport(check.id, check.statement, 0, 0, "error", {"reason": str(exc)})
+        failed.millis = report.millis
+        report = reports[check.id] = failed
+        done = True
     else:
-        try:
-            outcome = check.fn(usable, caps)
-        except NilCleanError as exc:
-            return TheoremReport(
-                check.id,
-                check.statement,
-                0,
-                0,
-                "error",
-                witness={"reason": str(exc)},
-                millis=(time.perf_counter() - start) * 1000.0,
-            )
-    millis = (time.perf_counter() - start) * 1000.0
-    if outcome.witness is not None:
-        verdict = "counterexample"
-    elif outcome.hypotheses_met == 0:
-        verdict = "vacuous"
-    else:
-        verdict = "verified"
-    return TheoremReport(
-        check.id,
-        check.statement,
-        outcome.instances,
-        outcome.hypotheses_met,
-        verdict,
-        outcome.witness,
-        outcome.details,
-        millis,
-    )
+        if report.witness is not None:
+            report.verdict = "counterexample"
+        elif report.hypotheses_met:
+            report.verdict = "verified"
+    report.millis += (time.perf_counter() - start) * 1000.0
+    return done
 
 
 def run_check(check_id: str, family=DEFAULT_FAMILY, caps: Caps = Caps()) -> TheoremReport:
-    """Evaluate one registered check over the given family."""
-    if check_id not in CHECKS:
-        raise UnknownCheck(check_id)
-    rings = _as_rings(family, caps)
-    return _run_one(CHECKS[check_id], rings, caps)
+    """Evaluate one registered check over the given family (see run_all)."""
+    return run_all(SuiteConfig(family, caps), ids=[check_id])[0]
 
 
 def run_all(
@@ -895,16 +880,28 @@ def run_all(
 ) -> List[TheoremReport]:
     """Run the selected checks (default all) over the configured family.
 
-    Family rings pass the axiom gate first.  Reports come back ordered by
-    check id.
+    Every entry is parsed and its order checked before the first ring is
+    built; then the family is walked once, ring by ring (see the module
+    docstring).  Reports come back ordered by check id.
     """
-    selected = sorted(ids) if ids is not None else sorted(CHECKS)
-    for check_id in selected:
+    running = sorted(ids) if ids is not None else sorted(CHECKS)
+    for check_id in running:
         if check_id not in CHECKS:
             raise UnknownCheck(check_id)
-    rings = _as_rings(config.family, config.caps)
-    _gate(rings)
-    return [_run_one(CHECKS[check_id], rings, config.caps) for check_id in selected]
+    caps = config.caps
+    family = [_admitted(entry, caps) for entry in config.family]
+    reports = {c: TheoremReport(c, CHECKS[c].statement, 0, 0, "vacuous") for c in running}
+    for entry in family:
+        ring = entry if isinstance(entry, FiniteRing) else build(entry, caps)
+        mode = "exhaustive" if ring.order <= EXHAUSTIVE_LIMIT else "sampled"
+        axioms = verify_axioms(ring, mode=mode, count=10_000)
+        if not axioms.ok:
+            raise AxiomFailure(axioms)
+        running = [c for c in running if not _advance(CHECKS[c], ring, caps, reports)]
+        if ring is not entry:
+            _release(ring)
+        del ring  # before the next build, which would otherwise overlap it
+    return list(reports.values())
 
 
 def explore_noncommutative(

@@ -272,6 +272,18 @@ def test_theorems_counterexample_verdict_maps_to_exit_4(monkeypatch, capsys):
     assert "forced" in out
 
 
+@pytest.mark.parametrize("bad, code", [("Z5000", 3), ("Q(", 2)])
+def test_theorems_family_errors_come_before_any_build(monkeypatch, capsys, bad, code):
+    from nilclean import theorems as theorems_module
+
+    builds = []
+    monkeypatch.setattr(
+        theorems_module, "build", lambda spec, caps: builds.append(spec)
+    )
+    assert run_cli(capsys, "theorems", "--family", "Z4", bad)[0] == code
+    assert builds == []
+
+
 def test_theorems_timings_flag_adds_millis(capsys):
     code, out, _ = run_cli(
         capsys, "theorems", "--ids", "PPP1_cor", "--family", "Z4",

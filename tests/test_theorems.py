@@ -1,11 +1,19 @@
+import gc
+
 import pytest
 
+import nilclean.theorems as theorems
 from nilclean import (
     AxiomFailure,
     CHECKS,
+    FiniteRing,
     SuiteConfig,
     UnknownCheck,
+    all_ideals,
+    build,
     explore_noncommutative,
+    ideal_generated,
+    make_quotient,
     make_zmod,
     make_table_ring,
     nilpotency_index,
@@ -50,12 +58,85 @@ def test_unknown_check_rejected():
         run_all(SuiteConfig(family=("Z4",)), ids=["nope"])
 
 
-def test_axiom_gate_rejects_corrupted_ring():
+def _corrupted_z6():
     data = table_json(make_zmod(6))
     data["mul"][2][3] = 1
-    broken = make_table_ring(data["add"], data["mul"], 0, 1)
+    return make_table_ring(data["add"], data["mul"], 0, 1)
+
+
+def test_axiom_gate_rejects_corrupted_ring():
     with pytest.raises(AxiomFailure):
-        run_all(SuiteConfig(family=(broken, "Z4")))
+        run_all(SuiteConfig(family=(_corrupted_z6(), "Z4")))
+
+
+def test_run_check_gates_the_family():
+    # a broken table must not reach a check and come back as a counterexample
+    with pytest.raises(AxiomFailure):
+        run_check("L1", [_corrupted_z6()])
+
+
+# every kind of construction, and no spec a check builds internally (the
+# morita checks build Z2 and Z4, a corner check on Z6 builds C(Z6;3)), so an
+# internal ring reusing a freed family ring's address cannot pass for it
+LIVENESS_FAMILY = (
+    "C(Z6;3)",
+    "Z6",
+    "Z4xZ3",
+    "T2(Z4)",
+    "T3(Z2)",
+    "Id(4,2)",
+    "MZ(2,2,2)",
+    "Q(Z8;[4])",
+    "Q(T2(Z2);[2])",
+)
+
+
+def _alive_rings() -> set:
+    return {(id(o), o.spec) for o in gc.get_objects() if isinstance(o, FiniteRing)}
+
+
+def test_one_family_ring_alive_at_a_time(monkeypatch):
+    # FiniteRing has no __weakref__ slot, so liveness is read off the objects
+    # the collector tracks.  With the collector off, each ring the runner
+    # built must be freed by reference counting before the next is built.
+    built = []
+
+    def tracking_build(spec, caps):
+        assert not set(built) & _alive_rings(), f"still alive at {spec}"
+        ring = build(spec, caps)
+        built.append((id(ring), ring.spec))
+        return ring
+
+    monkeypatch.setattr(theorems, "build", tracking_build)
+    gc.disable()
+    try:
+        reports = run_all(SuiteConfig(family=LIVENESS_FAMILY))
+        assert not set(built) & _alive_rings()
+    finally:
+        gc.enable()
+    assert len(built) == len(LIVENESS_FAMILY)
+    assert {r.verdict for r in reports} <= {"verified", "vacuous"}
+
+
+def test_release_reaches_the_quotients_in_a_memo():
+    gc.disable()
+    try:
+        ring = build("Z12")
+        quotient = make_quotient(ring, ideal_generated(ring, [6]))[0]
+        all_ideals(quotient)  # the quotient's memo now holds its own cycle
+        key = (id(ring), ring.spec)
+        theorems._release(ring)
+        del ring, quotient
+        assert key not in _alive_rings()
+    finally:
+        gc.enable()
+
+
+def test_caller_passed_rings_keep_their_memo():
+    ring = build("Z12")
+    ideals = all_ideals(ring)
+    run_all(SuiteConfig(family=(ring, "Z4")), ids=["L1", "PPP1"])
+    assert all_ideals(ring) is ideals
 
 
 def test_reports_come_back_ordered_by_id():
