@@ -29,58 +29,42 @@ def is_idempotent(ring: FiniteRing, x: ElemLike) -> bool:
     return ring.mul_i(i, i) == i
 
 
-def _nil_map(ring: FiniteRing) -> Dict[int, int]:
-    return ring.cached("nilmap", dict)
+def nilpotents(ring: FiniteRing) -> Dict[int, int]:
+    """Index -> nilpotency index for every nilpotent element.
+
+    One walk raises every element to its powers x, x^2, ... at once, and an
+    element still nonzero after log2(order) steps is not nilpotent.  If x
+    has index k, the right ideals R > xR > x^2R > ... > x^kR = 0 strictly
+    decrease: were x^iR = x^(i+1)R with i < k, then x^i = x^(i+1)r = x*x^i*r
+    for some r, so x^i = x^k*x^i*r^k = 0.  Each is an additive subgroup of
+    the one before, so at most half its size, and k <= log2(order).  The
+    walk costs O(n log n) list steps.
+    """
+
+    def fill():
+        mul, zero = ring.mul_i, ring.zero_i
+        index = [None] * ring.order
+        power = list(range(ring.order))  # power[x] = x^k for live x
+        live = range(ring.order)
+        for k in range(1, ring.order.bit_length()):
+            for x in live:
+                if power[x] == zero:
+                    index[x] = k
+            live = [x for x in live if index[x] is None]
+            for x in live:
+                power[x] = mul(power[x], x)
+        return {x: k for x, k in enumerate(index) if k is not None}
+
+    return ring.cached("nilpotents", fill)
 
 
 def nilpotency_index(ring: FiniteRing, x: ElemLike) -> Optional[int]:
-    """Least k >= 1 with x^k = 0, or None when x is not nilpotent.
-
-    Decided by squaring up to x^(2^m) with 2^m >= order (a nilpotent's index
-    is bounded by the number of distinct powers, hence by the order), then
-    binary-searching the least vanishing exponent.
-    """
-    i = ring.index_of(x)
-    memo = _nil_map(ring)
-    if i in memo:
-        got = memo[i]
-        return got if got > 0 else None
-    zero = ring.zero_i
-    m = max(1, (ring.order - 1).bit_length())
-    t = i
-    for _ in range(m):
-        if t == zero:
-            break
-        t = ring.mul_i(t, t)
-    if t != zero:
-        memo[i] = 0
-        return None
-    lo, hi = 1, 1 << m
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ring.pow_i(i, mid) == zero:
-            hi = mid
-        else:
-            lo = mid + 1
-    memo[i] = lo
-    return lo
+    """Least k >= 1 with x^k = 0, or None when x is not nilpotent."""
+    return nilpotents(ring).get(ring.index_of(x))
 
 
 def is_nilpotent(ring: FiniteRing, x: ElemLike) -> bool:
-    return nilpotency_index(ring, x) is not None
-
-
-def nilpotents(ring: FiniteRing) -> Dict[int, int]:
-    """Index -> nilpotency index for every nilpotent element."""
-
-    def fill():
-        return {
-            i: nilpotency_index(ring, i)
-            for i in range(ring.order)
-            if nilpotency_index(ring, i) is not None
-        }
-
-    return ring.cached("nilpotents", fill)
+    return ring.index_of(x) in nilpotents(ring)
 
 
 def units(ring: FiniteRing) -> FrozenSet[int]:

@@ -328,10 +328,14 @@ def cmd_import(args) -> int:
             f"the limit {EXHAUSTIVE_LIMIT}\n"
         )
         return EXIT_CAP
-    if len(add) != order:
+    try:
+        ring = make_table_ring(add, mul, zero, one, name=f"table{order}")
+    except BadParameter as exc:
+        sys.stderr.write(f"malformed table file: {exc}\n")
+        return EXIT_USAGE
+    if ring.order != order:
         sys.stderr.write("malformed table file: order does not match tables\n")
         return EXIT_USAGE
-    ring = make_table_ring(add, mul, zero, one, name=f"table{order}")
     report = verify_axioms(ring, mode="exhaustive")
     if not report.ok:
         if args.format == "json":

@@ -36,6 +36,9 @@ from .ring import Elem, FiniteRing
 
 DEFAULT_ORDER_CAP = 4096
 DEFAULT_IDEAL_CAP = 512
+# deepest nesting of T(...), Q(...) and C(...) a spec may have; deeper text
+# is refused before the recursive parser can exhaust the interpreter stack
+MAX_SPEC_DEPTH = 256
 
 TRI_POSITIONS = {
     2: ((0, 0), (0, 1), (1, 1)),
@@ -127,6 +130,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise ParseError(message, self.pos)
@@ -148,11 +152,23 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's int-from-text digit limit
+            self.error("integer too long")
+
+    def nested(self) -> RingSpec:
+        """A spec inside T(...), Q(...) or C(...), at most MAX_SPEC_DEPTH deep."""
+        self.depth += 1
+        if self.depth > MAX_SPEC_DEPTH:
+            self.error(f"ring spec nested deeper than {MAX_SPEC_DEPTH}")
+        spec = self.spec()
+        self.depth -= 1
+        return spec
 
     def spec(self) -> RingSpec:
         parts = [self.atom()]
@@ -190,7 +206,7 @@ class _Parser:
         if rest.startswith("Q"):
             self.take("Q")
             self.take("(")
-            base = self.spec()
+            base = self.nested()
             self.take(";")
             self.take("[")
             gens = []
@@ -205,7 +221,7 @@ class _Parser:
         if rest.startswith("C"):
             self.take("C")
             self.take("(")
-            base = self.spec()
+            base = self.nested()
             self.take(";")
             e = self.integer()
             self.take(")")
@@ -214,7 +230,7 @@ class _Parser:
             self.take("T")
             n = self.integer()
             self.take("(")
-            base = self.spec()
+            base = self.nested()
             self.take(")")
             return Tri(n, base)
         if rest.startswith("Z"):
@@ -713,8 +729,13 @@ def make_table_ring(add, mul, zero: int, one: int, name: str = "") -> FiniteRing
     """Ring defined directly by Cayley tables (the JSON import path).
 
     Only shape and index-range validity are enforced here; run
-    :func:`nilclean.ring.verify_axioms` to check the algebra.
+    :func:`nilclean.ring.verify_axioms` to check the algebra.  Tables and
+    rows must be lists or tuples, entries ints (not bools).
     """
+    arrays = (list, tuple)
+    for label, table in (("add", add), ("mul", mul)):
+        if not isinstance(table, arrays) or not all(isinstance(r, arrays) for r in table):
+            raise BadParameter(f"{label} table is not an array of arrays")
     order = len(add)
     if order < 2:
         raise BadParameter("table order must be at least 2")
@@ -723,8 +744,8 @@ def make_table_ring(add, mul, zero: int, one: int, name: str = "") -> FiniteRing
             raise BadParameter(f"{label} table is not {order}x{order}")
         for row in table:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < order:
-                    raise BadParameter(f"{label} table entry {v!r} out of range")
+                if type(v) is not int or not 0 <= v < order:
+                    raise BadParameter(f"{label} table entry {v!r} is not an index below {order}")
     if not 0 <= zero < order or not 0 <= one < order:
         raise BadParameter("zero/one index out of range")
     return FiniteRing(

@@ -2,17 +2,17 @@
 
 A decomposition of x is a pair (e, y) with e idempotent, e + y = x, and y
 nilpotent (nil-clean kind) or a unit (clean kind).  Since y = x - e, every
-decomposition is determined by its idempotent; the per-ring caches below
-therefore store, for each element, the ascending tuple of admissible
-idempotent indices, and everything else is rebuilt from that.
+decomposition is determined by its idempotent; one per-ring fill below
+therefore lists, for each element, its admissible idempotent indices in
+ascending order, and everything else is rebuilt from that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .classify import idempotents, is_idempotent, nilpotency_index, units
+from .classify import idempotents, nilpotency_index, nilpotents, units
 from .errors import (
     InternalInvariantViolation,
     NotAlmostIdempotent,
@@ -67,60 +67,37 @@ class Decomposition:
 
 
 # --------------------------------------------------------------------------
-# per-ring idempotent caches
-
-
-def _nil_e_lists(ring: FiniteRing) -> List[Tuple[int, ...]]:
-    def fill():
-        idem = sorted(idempotents(ring))
-        out = []
-        for x in range(ring.order):
-            out.append(
-                tuple(
-                    e
-                    for e in idem
-                    if nilpotency_index(ring, ring.sub_i(x, e)) is not None
-                )
-            )
-        return out
-
-    return ring.cached("nil_e", fill)
-
-
-def _clean_e_lists(ring: FiniteRing) -> List[Tuple[int, ...]]:
-    def fill():
-        idem = sorted(idempotents(ring))
-        u = units(ring)
-        return [
-            tuple(e for e in idem if ring.sub_i(x, e) in u)
-            for x in range(ring.order)
-        ]
-
-    return ring.cached("clean_e", fill)
+# the per-ring admissible-idempotent fill
 
 
 def _commuting(ring: FiniteRing, e: int, y: int) -> bool:
     return ring.mul_i(e, y) == ring.mul_i(y, e)
 
 
-def _strong_nil_e_lists(ring: FiniteRing) -> List[Tuple[int, ...]]:
+def _admissible(ring: FiniteRing, kind: str, strong: bool = False) -> List[List[int]]:
+    """For each element x, the ascending idempotents e with x - e admissible.
+
+    One walk: for each idempotent e in ascending order and each y in the
+    admissible set (nilpotents or units), e joins the list of e + y.  That
+    is one step per decomposition, |E|*|S| in all, with no test per pair.
+    The strong lists keep the e whose parts e and x - e commute.
+    """
+
     def fill():
-        return [
-            tuple(e for e in es if _commuting(ring, e, ring.sub_i(x, e)))
-            for x, es in enumerate(_nil_e_lists(ring))
-        ]
+        if strong:
+            return [
+                [e for e in es if _commuting(ring, e, ring.sub_i(x, e))]
+                for x, es in enumerate(_admissible(ring, kind))
+            ]
+        second = nilpotents(ring) if kind == NIL_CLEAN else units(ring)
+        lists = [[] for _ in range(ring.order)]
+        for e in sorted(idempotents(ring)):
+            row = ring.add_row(e)
+            for y in second:
+                lists[row[y]].append(e)
+        return lists
 
-    return ring.cached("strong_nil_e", fill)
-
-
-def _strong_clean_e_lists(ring: FiniteRing) -> List[Tuple[int, ...]]:
-    def fill():
-        return [
-            tuple(e for e in es if _commuting(ring, e, ring.sub_i(x, e)))
-            for x, es in enumerate(_clean_e_lists(ring))
-        ]
-
-    return ring.cached("strong_clean_e", fill)
+    return ring.cached(("admissible", kind, strong), fill)
 
 
 def _make(ring: FiniteRing, x: int, e: int, kind: str) -> Decomposition:
@@ -141,13 +118,13 @@ def nil_clean_decompositions(ring: FiniteRing, x: ElemLike) -> List[Decompositio
     An empty list means x is not nil-clean.
     """
     i = ring.index_of(x)
-    return [_make(ring, i, e, NIL_CLEAN) for e in _nil_e_lists(ring)[i]]
+    return [_make(ring, i, e, NIL_CLEAN) for e in _admissible(ring, NIL_CLEAN)[i]]
 
 
 def clean_decompositions(ring: FiniteRing, x: ElemLike) -> List[Decomposition]:
     """All pairs (e, x-e) with e idempotent and x-e a unit, by e ascending."""
     i = ring.index_of(x)
-    return [_make(ring, i, e, CLEAN) for e in _clean_e_lists(ring)[i]]
+    return [_make(ring, i, e, CLEAN) for e in _admissible(ring, CLEAN)[i]]
 
 
 def strongly_filter(decompositions: List[Decomposition]) -> List[Decomposition]:
@@ -159,30 +136,33 @@ def strongly_filter(decompositions: List[Decomposition]) -> List[Decomposition]:
 # ideal- and ring-level predicates
 
 
-def is_clean_ideal(ideal: Ideal) -> bool:
-    lists = _clean_e_lists(ideal.ring)
+def _every_member(ideal: Ideal, kind: str, strong: bool = False, unique: bool = False) -> bool:
+    """Every member has a decomposition of the kind (exactly one if unique)."""
+    lists = _admissible(ideal.ring, kind, strong)
+    if unique:
+        return all(len(lists[x]) == 1 for x in ideal.indices)
     return all(lists[x] for x in ideal.indices)
+
+
+def is_clean_ideal(ideal: Ideal) -> bool:
+    return _every_member(ideal, CLEAN)
 
 
 def is_nil_clean_ideal(ideal: Ideal) -> bool:
-    lists = _nil_e_lists(ideal.ring)
-    return all(lists[x] for x in ideal.indices)
+    return _every_member(ideal, NIL_CLEAN)
 
 
 def is_strongly_nil_clean_ideal(ideal: Ideal) -> bool:
-    lists = _strong_nil_e_lists(ideal.ring)
-    return all(lists[x] for x in ideal.indices)
+    return _every_member(ideal, NIL_CLEAN, strong=True)
 
 
 def is_strongly_clean_ideal(ideal: Ideal) -> bool:
-    lists = _strong_clean_e_lists(ideal.ring)
-    return all(lists[x] for x in ideal.indices)
+    return _every_member(ideal, CLEAN, strong=True)
 
 
 def is_uniquely_nil_clean_ideal(ideal: Ideal) -> bool:
     """Exactly one admissible idempotent for every member."""
-    lists = _nil_e_lists(ideal.ring)
-    return all(len(lists[x]) == 1 for x in ideal.indices)
+    return _every_member(ideal, NIL_CLEAN, unique=True)
 
 
 def is_uniquely_strongly_nil_clean_ideal(ideal: Ideal) -> bool:
@@ -191,18 +171,16 @@ def is_uniquely_strongly_nil_clean_ideal(ideal: Ideal) -> bool:
     The second part is x - e, so counting decompositions and counting their
     idempotents is the same count.
     """
-    lists = _strong_nil_e_lists(ideal.ring)
-    return all(len(lists[x]) == 1 for x in ideal.indices)
+    return _every_member(ideal, NIL_CLEAN, strong=True, unique=True)
 
 
 def is_uniquely_strongly_clean_ideal(ideal: Ideal) -> bool:
-    lists = _strong_clean_e_lists(ideal.ring)
-    return all(len(lists[x]) == 1 for x in ideal.indices)
+    return _every_member(ideal, CLEAN, strong=True, unique=True)
 
 
 def is_nil_clean_ring(ring: FiniteRing) -> bool:
     """True iff every element of the ring is nil-clean."""
-    lists = _nil_e_lists(ring)
+    lists = _admissible(ring, NIL_CLEAN)
     return all(lists[x] for x in range(ring.order))
 
 
@@ -213,7 +191,7 @@ def decomposition_within_ideal(ideal: Ideal, x: ElemLike) -> List[Decomposition]
     if i not in ideal:
         raise PreconditionViolated(f"element {i} is not in the ideal")
     out = []
-    for e in _nil_e_lists(ring)[i]:
+    for e in _admissible(ring, NIL_CLEAN)[i]:
         if e in ideal and ring.sub_i(i, e) in ideal:
             out.append(_make(ring, i, e, NIL_CLEAN))
     return out

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from .classify import nilpotency_index, units
+from .classify import nilpotents, units
 from .construct import DEFAULT_IDEAL_CAP
 from .errors import CapExceeded, ElementRingMismatch, NotAnIdeal, NotCentralIdempotent
 from .ring import ElemLike, FiniteRing
@@ -314,8 +314,10 @@ def all_ideals(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> List[Ideal]:
 
 
 def is_nil_ideal(ideal: Ideal) -> bool:
-    """True iff every member is nilpotent."""
-    return all(nilpotency_index(ideal.ring, i) is not None for i in ideal.indices)
+    """True iff every member is nilpotent: one test against the nil mask."""
+    ring = ideal.ring
+    nil = ring.cached("nil_mask", lambda: mask_of(nilpotents(ring)))
+    return ideal.mask & ~nil == 0
 
 
 def image_ideal(projection, ideal: Ideal) -> Ideal:

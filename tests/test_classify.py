@@ -33,13 +33,21 @@ def test_nilpotency_examples():
     assert nilpotency_index(z6, 0) == 1
 
 
-def test_nilpotency_matches_naive_iteration(small_family_rings):
-    for ring in small_family_rings:
+def test_nilpotency_matches_naive_iteration(differential_rings):
+    for ring in differential_rings:
         for x in range(ring.order):
             assert nilpotency_index(ring, x) == naive_nil_index(ring, x), (
                 ring.spec,
                 x,
             )
+
+
+def test_power_walk_reaches_the_log2_bound():
+    # 2 in Z1024 has index 10 = log2(1024): a walk one step shorter misses it
+    z1024 = make_zmod(1024)
+    for x in range(z1024.order):
+        assert nilpotency_index(z1024, x) == naive_nil_index(z1024, x), x
+    assert max(nilpotents(z1024).values()) == 10
 
 
 def test_nil_index_is_sharp(small_family_rings):

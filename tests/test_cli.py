@@ -6,6 +6,7 @@ import pytest
 
 from nilclean import make_zmod
 from nilclean.cli import main, table_json
+from nilclean.construct import MAX_SPEC_DEPTH
 
 GOLDEN = Path(__file__).parent / "golden" / "theorems_default.json"
 GOLDEN_TABLE = Path(__file__).parent / "golden" / "theorems_default.txt"
@@ -90,6 +91,31 @@ def test_deeply_nested_spec_exits_3_at_once(capsys, depth):
     assert code == 3
     assert out == ""
     assert "above cap 4096" in err
+
+
+def _nested(kind: str, depth: int) -> str:
+    if kind == "T":
+        return "T2(" * depth + "Z2" + ")" * depth
+    return "Q(" * depth + "Z2" + ";[0])" * depth
+
+
+COMMANDS = [("info",), ("theorems", "--family")]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("kind, code", [("T", 3), ("Q", 0)])
+def test_spec_nested_256_deep_is_still_parsed(capsys, command, kind, code):
+    assert run_cli(capsys, *command, _nested(kind, MAX_SPEC_DEPTH))[0] == code
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("kind", ["T", "Q"])
+@pytest.mark.parametrize("depth", [257, 1000, 100_000])
+def test_spec_nested_deeper_than_256_exits_2(capsys, command, kind, depth):
+    code, out, err = run_cli(capsys, *command, _nested(kind, depth))
+    assert code == 2
+    assert out == ""
+    assert "nested deeper than 256" in err
 
 
 @pytest.mark.parametrize(
@@ -258,6 +284,29 @@ def test_import_malformed_exits_2(tmp_path, capsys):
     table_file.write_text(json.dumps({"order": 3}), encoding="utf-8")
     code, _, _ = run_cli(capsys, "import", str(table_file))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("add", 5),
+        ("add", [1, 2]),
+        ("add", None),
+        ("mul", [[0, 0], 3]),
+        ("mul", {"0": [0, 0]}),
+        ("mul", [[False, False], [False, True]]),
+    ],
+    ids=["int", "int-rows", "null", "int-row", "object", "bools"],
+)
+def test_import_table_that_is_no_array_of_int_arrays_exits_2(tmp_path, capsys, key, value):
+    data = table_json(make_zmod(2))
+    data[key] = value
+    table_file = tmp_path / "bad.json"
+    table_file.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "import", str(table_file))
+    assert code == 2
+    assert out == ""
+    assert "malformed table file" in err
 
 
 def test_theorems_counterexample_verdict_maps_to_exit_4(monkeypatch, capsys):

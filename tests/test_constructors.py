@@ -221,6 +221,27 @@ def test_parse_error_carries_position():
         parse_ring_spec("Z6 Z4")
 
 
+# the grammar's characters, digits that str.isdigit accepts but int() does
+# not read as ASCII, and fragments that reach nesting and long integers
+SPEC_PIECES = list("ZTIdMQCx(),;[] 0123456789") + [
+    "\u00b2", "\u0666", "T2(", "Q(", "C(", "Id(", "MZ(", ";[0])", "9" * 5000,
+]
+
+
+@given(st.lists(st.sampled_from(SPEC_PIECES), max_size=40).map("".join))
+def test_parse_returns_or_raises_parse_error(text):
+    try:
+        parse_ring_spec(text)
+    except (ParseError, BadParameter):
+        pass
+
+
+def test_parse_accepts_only_ascii_digits():
+    for text in ("Z\u00b2", "Z\u0666", "Z6x Z\u00b2"):
+        with pytest.raises(ParseError):
+            parse_ring_spec(text)
+
+
 def test_built_spec_round_trips_through_ring_spec_string():
     for spec in ("Z6", "Z4xZ3", "T2(Z4)", "Id(8,2)", "MZ(2,2,2)", "Q(Z12;[6])", "C(Z6;3)"):
         ring = build(spec)

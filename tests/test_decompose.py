@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from nilclean import (
     PreconditionViolated,
+    all_ideals,
     build,
     clean_decompositions,
     decomposition_within_ideal,
@@ -10,8 +11,11 @@ from nilclean import (
     is_clean_ideal,
     is_nil_clean_ideal,
     is_nil_clean_ring,
+    is_strongly_clean_ideal,
     is_strongly_nil_clean_ideal,
     is_uniquely_nil_clean_ideal,
+    is_uniquely_strongly_clean_ideal,
+    is_uniquely_strongly_nil_clean_ideal,
     make_zmod,
     nil_clean_decompositions,
     strongly_filter,
@@ -20,11 +24,25 @@ from nilclean import (
     zero_ideal,
 )
 
+from nilclean.decompose import _admissible
+
 from oracles import brute_pairs
+
+KINDS = ("nil-clean", "clean")
 
 
 def pairs(decs):
     return [(d.idempotent.index, d.second.index) for d in decs]
+
+
+def brute_lists(ring, kind):
+    """Per element, the brute-force pairs of the kind and the commuting ones."""
+    full = [brute_pairs(ring, x, kind) for x in range(ring.order)]
+    strong = [
+        [(e, y) for e, y in found if ring.mul_i(e, y) == ring.mul_i(y, e)]
+        for found in full
+    ]
+    return full, strong
 
 
 def test_nil_clean_examples():
@@ -43,15 +61,48 @@ def test_clean_examples():
     assert pairs(clean_decompositions(z2, 0)) == [(1, 1)]
 
 
-def test_decompositions_match_brute_force_all_pairs(small_family_rings):
-    for ring in small_family_rings:
-        for x in range(ring.order):
-            assert pairs(nil_clean_decompositions(ring, x)) == brute_pairs(
-                ring, x, "nil-clean"
-            ), (ring.spec, x)
-            assert pairs(clean_decompositions(ring, x)) == brute_pairs(
-                ring, x, "clean"
-            ), (ring.spec, x)
+def test_decompositions_match_brute_force_all_pairs(differential_rings):
+    for ring in differential_rings:
+        for kind, decompose in zip(KINDS, (nil_clean_decompositions, clean_decompositions)):
+            full, strong = brute_lists(ring, kind)
+            for x in range(ring.order):
+                decs = decompose(ring, x)
+                assert pairs(decs) == full[x], (ring.spec, kind, x)
+                assert pairs(strongly_filter(decs)) == strong[x], (ring.spec, kind, x)
+
+
+def test_strong_lists_match_commuting_brute_pairs(differential_rings):
+    for ring in differential_rings:
+        for kind in KINDS:
+            _, strong = brute_lists(ring, kind)
+            lists = _admissible(ring, kind, strong=True)
+            for x in range(ring.order):
+                assert [(e, ring.sub_i(x, e)) for e in lists[x]] == strong[x], (
+                    ring.spec, kind, x,
+                )
+
+
+def test_ideal_predicates_match_brute_pairs(differential_rings):
+    for ring in differential_rings:
+        nil, strong_nil = brute_lists(ring, "nil-clean")
+        clean, strong_clean = brute_lists(ring, "clean")
+        for ideal in all_ideals(ring):
+            members = ideal.indices
+            expected = {
+                is_nil_clean_ideal: all(nil[x] for x in members),
+                is_clean_ideal: all(clean[x] for x in members),
+                is_strongly_nil_clean_ideal: all(strong_nil[x] for x in members),
+                is_strongly_clean_ideal: all(strong_clean[x] for x in members),
+                is_uniquely_nil_clean_ideal: all(len(nil[x]) == 1 for x in members),
+                is_uniquely_strongly_nil_clean_ideal: all(
+                    len(strong_nil[x]) == 1 for x in members
+                ),
+                is_uniquely_strongly_clean_ideal: all(
+                    len(strong_clean[x]) == 1 for x in members
+                ),
+            }
+            for predicate, want in expected.items():
+                assert predicate(ideal) == want, (ring.spec, predicate.__name__, members)
 
 
 def test_decompositions_self_verify(small_family_rings):

@@ -23,7 +23,7 @@ from nilclean import (
 )
 from nilclean.ideals import verify_ideal
 
-from oracles import divisors
+from oracles import divisors, naive_nil_index
 
 
 def test_generated_examples():
@@ -110,6 +110,13 @@ def test_nil_ideal_examples():
     assert is_nil_ideal(ideal_generated(z8, [2]))
     assert not is_nil_ideal(ideal_generated(z6, [2]))
     assert is_nil_ideal(zero_ideal(z6))
+
+
+def test_nil_ideal_matches_naive_members(differential_rings):
+    for ring in differential_rings:
+        for ideal in all_ideals(ring):
+            naive = all(naive_nil_index(ring, x) is not None for x in ideal.indices)
+            assert is_nil_ideal(ideal) == naive, (ring.spec, ideal.indices)
 
 
 def test_image_ideal_examples():
