@@ -347,6 +347,16 @@ def cmd_import(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -354,13 +364,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--order-cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_ORDER_CAP,
         help=f"largest constructible order, at most {DEFAULT_ORDER_CAP}",
     )
     common.add_argument(
         "--ideal-cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_IDEAL_CAP,
         help="most ideals enumerated per ring",
     )
@@ -396,9 +406,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_thm = sub.add_parser(
         "theorems", parents=[common], help="run the registered checks"
     )
-    p_thm.add_argument("--ids", nargs="*", default=[], help="subset of check ids")
+    p_thm.add_argument("--ids", nargs="+", default=[], help="subset of check ids")
     p_thm.add_argument(
-        "--family", nargs="*", default=[], help="ring specs replacing the default family"
+        "--family", nargs="+", default=[], help="ring specs replacing the default family"
     )
     p_thm.add_argument(
         "--timings",

@@ -301,6 +301,35 @@ def _zmod_add_rows(n: int) -> list:
     return [r[i:] + r[:i] for i in r]
 
 
+def _zmod_mul_rows(n: int) -> list:
+    """Rows of i*j mod n, cut from stepped slices of one repeated residue list.
+
+    With r = [0, 1, ..., n-1] and s = r * repeat, s[t] == t % n for every
+    t < repeat*n: t = k*n + (t % n) with k < repeat, and copy k of r sits at
+    offsets k*n .. k*n + n-1.  Row i (i >= 1) is taken in runs of per =
+    min(n, (repeat-1)*n // i + 1) entries.  The run from entry q on reads s
+    at t = start + i*d, d < per, with start = i*q % n; then t <= n-1 +
+    (repeat-1)*n < repeat*n, so s[t] == t % n == i*(q + d) % n, and the run
+    is the slice ``s[start : start + i*per : i]``, cut short at the end of
+    the row.  Row i takes about i/repeat slices plus n pointer copies, with
+    no Python work per entry, and every entry is an int object of r.  The
+    runs are assigned into a row allocated at full length, which holds no
+    spare slots as a list grown by appending would.
+    """
+    repeat = 64  # s holds 64*n pointers while the rows are cut
+    r = list(range(n))
+    s = r * repeat
+    rows = [r[:1] * n]
+    for i in r[1:]:
+        per = min(n, (repeat - 1) * n // i + 1)
+        row = r[:1] * n
+        for q in range(0, n, per):
+            start = i * q % n
+            row[q : q + per] = s[start : start + i * min(per, n - q) : i]
+        rows.append(row)
+    return rows
+
+
 def _zmod_neg(n: int) -> list:
     r = list(range(n))
     return r[:1] + r[:0:-1]
@@ -345,7 +374,6 @@ def make_zmod(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     if n < 2:
         raise BadParameter(f"modulus must be at least 2, got {n}")
     _check_order(n, cap, f"Z{n}")
-    r = list(range(n))
     return FiniteRing(
         order=n,
         zero=0,
@@ -353,7 +381,7 @@ def make_zmod(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         spec=f"Z{n}",
         structure=("zmod", n),
         add=_zmod_add_rows(n),
-        mul=[[r[(i * j) % n] for j in r] for i in r],
+        mul=_zmod_mul_rows(n),
         neg=_zmod_neg(n),
     )
 

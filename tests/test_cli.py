@@ -69,6 +69,31 @@ def test_info_order_cap_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag", ["--order-cap", "--ideal-cap"])
+@pytest.mark.parametrize(
+    "value, message",
+    [("0", "must be at least 1, got 0"), ("-1", "must be at least 1, got -1"),
+     ("x", "invalid int value: 'x'")],
+)
+@pytest.mark.parametrize(
+    "command", [("info", "Z8"), ("theorems", "--ids", "L1", "--family", "Z8")]
+)
+def test_non_positive_cap_exits_2(capsys, command, flag, value, message):
+    code, out, err = run_cli(capsys, *command, flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: {message}\n" in err
+
+
+@pytest.mark.parametrize("flag", ["--family", "--ids"])
+@pytest.mark.parametrize("trailing", [(), ("--format", "json")])
+def test_theorems_flag_without_values_exits_2(capsys, flag, trailing):
+    code, out, err = run_cli(capsys, "theorems", flag, *trailing)
+    assert code == 2
+    assert out == ""
+    assert "expected at least one argument" in err
+
+
 @pytest.mark.parametrize("argv", [("Z5000", "--order-cap", "5000"), ("Z5000",)])
 def test_info_above_4096_exits_3_whatever_the_cap(capsys, argv):
     tracemalloc.start()

@@ -305,6 +305,35 @@ def test_tables_above_order_1024_match_the_reference():
     assert [ring.neg_i(i) for i in every] == [neg(i) for i in every]
 
 
+def _assert_zmod_matches_reference(n):
+    ring = make_zmod(n)
+    add, mul, neg = reference_ops(ring)
+    every = range(n)
+    for i in every:
+        assert ring.add_row(i) == list(map(add, itertools.repeat(i, n), every)), (n, i)
+        assert ring.mul_row(i) == list(map(mul, itertools.repeat(i, n), every)), (n, i)
+    assert [ring.neg_i(i) for i in every] == list(map(neg, every)), n
+
+
+def test_zmod_tables_match_the_reference_for_every_small_modulus():
+    """The stepped-slice multiplication rows change shape with how often the
+    progression i*j wraps past the repeated residue list, so every modulus
+    up to 300 is compared entry by entry."""
+    for n in range(2, 301):
+        _assert_zmod_matches_reference(n)
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2047])
+def test_zmod_tables_match_the_reference_above_order_1000(n):
+    _assert_zmod_matches_reference(n)
+
+
+def test_zmod_mul_entries_share_one_int_per_residue():
+    ring = make_zmod(1024)
+    mul = [ring.mul_row(i) for i in range(1024)]
+    assert len({id(x) for row in mul for x in row}) <= 1024
+
+
 def _peak_alloc_bytes(fn):
     tracemalloc.start()
     try:
