@@ -297,8 +297,10 @@ def _componentwise_list(vectors, ints) -> list:
 
 
 def _zmod_add_rows(n: int) -> list:
+    # row i is r rotated left by i: one slice of r twice over
     r = list(range(n))
-    return [r[i:] + r[:i] for i in r]
+    rr = r + r
+    return [rr[i : i + n] for i in r]
 
 
 def _zmod_mul_rows(n: int) -> list:

@@ -5,12 +5,16 @@ nilpotent (nil-clean kind) or a unit (clean kind).  Since y = x - e, every
 decomposition is determined by its idempotent; one per-ring fill below
 therefore lists, for each element, its admissible idempotent indices in
 ascending order, and everything else is rebuilt from that.
+
+An element's verified decompositions and its idempotent lifting path are
+facts about the ring and the element alone, so each is built at most once
+per element, when first asked for, and kept on the ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .classify import idempotents, nilpotency_index, nilpotents, units
 from .errors import (
@@ -112,19 +116,27 @@ def _make(ring: FiniteRing, x: int, e: int, kind: str) -> Decomposition:
     ).verify()
 
 
+def _decompositions(ring: FiniteRing, i: int, kind: str) -> Tuple[Decomposition, ...]:
+    """The verified decompositions of element i, memoized element by element."""
+    memo = ring.cached(("decompositions", kind), dict)
+    decs = memo.get(i)
+    if decs is None:
+        admissible = _admissible(ring, kind)[i]
+        decs = memo[i] = tuple(_make(ring, i, e, kind) for e in admissible)
+    return decs
+
+
 def nil_clean_decompositions(ring: FiniteRing, x: ElemLike) -> List[Decomposition]:
     """All pairs (e, x-e) with e idempotent and x-e nilpotent, by e ascending.
 
     An empty list means x is not nil-clean.
     """
-    i = ring.index_of(x)
-    return [_make(ring, i, e, NIL_CLEAN) for e in _admissible(ring, NIL_CLEAN)[i]]
+    return list(_decompositions(ring, ring.index_of(x), NIL_CLEAN))
 
 
 def clean_decompositions(ring: FiniteRing, x: ElemLike) -> List[Decomposition]:
     """All pairs (e, x-e) with e idempotent and x-e a unit, by e ascending."""
-    i = ring.index_of(x)
-    return [_make(ring, i, e, CLEAN) for e in _admissible(ring, CLEAN)[i]]
+    return list(_decompositions(ring, ring.index_of(x), CLEAN))
 
 
 def strongly_filter(decompositions: List[Decomposition]) -> List[Decomposition]:
@@ -190,11 +202,11 @@ def decomposition_within_ideal(ideal: Ideal, x: ElemLike) -> List[Decomposition]
     i = ring.index_of(x)
     if i not in ideal:
         raise PreconditionViolated(f"element {i} is not in the ideal")
-    out = []
-    for e in _admissible(ring, NIL_CLEAN)[i]:
-        if e in ideal and ring.sub_i(i, e) in ideal:
-            out.append(_make(ring, i, e, NIL_CLEAN))
-    return out
+    return [
+        d
+        for d in _decompositions(ring, i, NIL_CLEAN)
+        if d.idempotent.index in ideal and d.second.index in ideal
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -216,8 +228,17 @@ def lift_idempotent_path(ring: FiniteRing, a: ElemLike) -> List[Elem]:
     Requires a - a^2 nilpotent.  Each step squares the nilpotency order of
     t - t^2 (up to a commuting factor), so at most ceil(log2 v) + 1 steps are
     needed, v being the nilpotency index of a - a^2; the bound is asserted.
+    A path is memoized per element; a failure is not, and raises every time.
     """
     i = ring.index_of(a)
+    paths = ring.cached("lift_paths", dict)
+    path = paths.get(i)
+    if path is None:
+        path = paths[i] = _lift_path(ring, i)
+    return list(path)
+
+
+def _lift_path(ring: FiniteRing, i: int) -> Tuple[Elem, ...]:
     defect = ring.sub_i(i, ring.mul_i(i, i))
     v = nilpotency_index(ring, defect)
     if v is None:
@@ -240,7 +261,7 @@ def lift_idempotent_path(ring: FiniteRing, a: ElemLike) -> List[Elem]:
         raise InternalInvariantViolation(
             f"lifted idempotent is not congruent to {i} modulo nilpotents"
         )
-    return path
+    return tuple(path)
 
 
 def lift_idempotent(ring: FiniteRing, a: ElemLike) -> Elem:

@@ -321,11 +321,19 @@ def is_nil_ideal(ideal: Ideal) -> bool:
 
 
 def image_ideal(projection, ideal: Ideal) -> Ideal:
-    """Push an ideal through a quotient projection; re-verified as an ideal."""
+    """Push an ideal through a quotient projection; re-verified as an ideal.
+
+    Memoized on the quotient, keyed by the ideal's mask, so an image is
+    computed and verified once per (quotient, ideal).
+    """
     if ideal.ring is not projection.domain:
         raise ElementRingMismatch("ideal does not live in the projection's domain")
-    mask = mask_of(projection.image_index(i) for i in ideal.indices)
-    return Ideal(projection.codomain, mask)
+
+    def image():
+        mask = mask_of(projection.image_index(i) for i in ideal.indices)
+        return Ideal(projection.codomain, mask)
+
+    return projection.codomain.cached(("image", ideal.mask), image)
 
 
 def corner_ideal(ring: FiniteRing, e: ElemLike, ideal: Ideal) -> Ideal:

@@ -296,20 +296,31 @@ def _nil_or_witness(ring: FiniteRing, part: Ideal, reason: str, ideal: Ideal):
     return _w(ring, reason, ideal, bad)
 
 
-def _clean_pair_failure(ring: FiniteRing, ideal: Ideal):
-    """Check the constructive pair: if -x = e + n then (1-e) + (-1-n) = x."""
+def _bad_clean_pair(ring: FiniteRing, x: int):
+    """The first constructed pair (1-e, -1-n) from -x = e + n that is not a
+    clean decomposition of x, or None."""
     one = ring.one_i
+    for d in nil_clean_decompositions(ring, ring.neg_i(x)):
+        em = ring.sub_i(one, d.idempotent.index)
+        um = ring.neg_i(ring.add_i(one, d.second.index))
+        if ring.add_i(em, um) != x or ring.mul_i(em, em) != em or um not in units(ring):
+            return em, um
+    return None
+
+
+def _clean_pair_failure(ring: FiniteRing, ideal: Ideal):
+    """Check the constructive pair: if -x = e + n then (1-e) + (-1-n) = x.
+
+    The verdict is a fact about the element, kept on the ring per element.
+    """
+    verdicts = ring.cached("clean_pair_bad", dict)
     for x in ideal.indices:
-        for d in nil_clean_decompositions(ring, ring.neg_i(x)):
-            em = ring.sub_i(one, d.idempotent.index)
-            um = ring.neg_i(ring.add_i(one, d.second.index))
-            if (
-                ring.add_i(em, um) != x
-                or ring.mul_i(em, em) != em
-                or um not in units(ring)
-            ):
-                reason = "constructed clean pair fails"
-                return _w(ring, reason, ideal, x, idempotent=em, unit=um)
+        if x not in verdicts:
+            verdicts[x] = _bad_clean_pair(ring, x)
+        if verdicts[x] is not None:
+            em, um = verdicts[x]
+            reason = "constructed clean pair fails"
+            return _w(ring, reason, ideal, x, idempotent=em, unit=um)
     return None
 
 
@@ -519,14 +530,19 @@ def _check_corner(ring, caps):
         yield _iff(lhs, rhs, ring, "corner cuts disagree with nil-clean", ideal)
 
 
-def _lift_failure(ring: FiniteRing, nil: Ideal, outer: Ideal):
-    """Exercise the idempotent lifting the backward direction uses."""
+def _lift_failure(ring: FiniteRing, nil: Ideal, outer: Ideal, lifted: set):
+    """Exercise the idempotent lifting the backward direction uses.
+
+    lifted holds the elements already lifted modulo nil; a failed lift
+    ends the check, so only successes are recorded.
+    """
     for x in outer.indices:
-        if ring.sub_i(ring.mul_i(x, x), x) in nil:
+        if x not in lifted and ring.sub_i(ring.mul_i(x, x), x) in nil:
             try:
                 lift_idempotent_mod_nil(ring, nil, x)
             except NilCleanError as exc:
                 return _w(ring, f"idempotent lift failed: {exc}", outer, x)
+            lifted.add(x)
     return None
 
 
@@ -536,6 +552,7 @@ def _check_lift_mod_nil(ring, caps):
     ideals = _ideals(ring, caps)
     for nil in (i for i in ideals if is_nil_ideal(i)):
         _, projection = make_quotient(ring, nil)
+        lifted: set = set()
         for outer in ideals:
             if outer.mask & nil.mask != nil.mask:
                 continue
@@ -543,7 +560,7 @@ def _check_lift_mod_nil(ring, caps):
             rhs = is_nil_clean_ideal(image_ideal(projection, outer))
             modulo = sorted(nil.indices)
             witness = _iff(lhs, rhs, ring, reason, outer, modulo=modulo)
-            yield witness or _lift_failure(ring, nil, outer)
+            yield witness or _lift_failure(ring, nil, outer, lifted)
 
 
 @_check("hom_image", "projections of nil-clean ideals are nil-clean")
@@ -887,7 +904,7 @@ def run_all(
     running = sorted(ids) if ids is not None else sorted(CHECKS)
     for check_id in running:
         if check_id not in CHECKS:
-            raise UnknownCheck(check_id)
+            raise UnknownCheck(f"unknown check id {check_id!r}")
     caps = config.caps
     family = [_admitted(entry, caps) for entry in config.family]
     reports = {c: TheoremReport(c, CHECKS[c].statement, 0, 0, "vacuous") for c in running}

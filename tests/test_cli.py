@@ -10,6 +10,9 @@ from nilclean.construct import MAX_SPEC_DEPTH
 
 GOLDEN = Path(__file__).parent / "golden" / "theorems_default.json"
 GOLDEN_TABLE = Path(__file__).parent / "golden" / "theorems_default.txt"
+# Written once, before the per-element memos went in; never regenerated.
+GOLDEN_LARGER = Path(__file__).parent / "golden" / "theorems_larger.json"
+LARGER_FAMILY = ("T2(Z8)", "MZ(8,8,2)", "Z4xZ4xZ4")
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +242,13 @@ def test_theorems_unknown_id_exits_2(capsys):
     assert code == 2
 
 
+def test_theorems_unknown_id_is_named_in_the_message(capsys):
+    code, out, err = run_cli(capsys, "theorems", "--ids", "L1", "nope")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown check id 'nope'\n"
+
+
 def test_theorems_table_format(capsys):
     code, out, _ = run_cli(
         capsys, "theorems", "--ids", "L1", "PPP1", "--family", "Z4", "Z6"
@@ -389,6 +399,13 @@ def test_theorems_default_matches_golden_fixture(capsys):
     code, out, _ = run_cli(capsys, "theorems", "--format", "json")
     assert code == 0
     assert out == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_theorems_larger_rings_match_golden_fixture(capsys):
+    argv = ("theorems", "--format", "json", "--family", *LARGER_FAMILY)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == GOLDEN_LARGER.read_text(encoding="utf-8")
 
 
 def test_json_outputs_parse_and_round_trip(capsys):

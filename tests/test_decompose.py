@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
+import nilclean.decompose as decompose_module
 from nilclean import (
+    Decomposition,
     PreconditionViolated,
     all_ideals,
     build,
@@ -18,6 +22,7 @@ from nilclean import (
     is_uniquely_strongly_nil_clean_ideal,
     make_zmod,
     nil_clean_decompositions,
+    run_all,
     strongly_filter,
     unit_ideal,
     units,
@@ -65,7 +70,8 @@ def test_decompositions_match_brute_force_all_pairs(differential_rings):
     for ring in differential_rings:
         for kind, decompose in zip(KINDS, (nil_clean_decompositions, clean_decompositions)):
             full, strong = brute_lists(ring, kind)
-            for x in range(ring.order):
+            # the second pass reads every element's memoized decompositions
+            for x in [*range(ring.order), *range(ring.order)]:
                 decs = decompose(ring, x)
                 assert pairs(decs) == full[x], (ring.spec, kind, x)
                 assert pairs(strongly_filter(decs)) == strong[x], (ring.spec, kind, x)
@@ -238,3 +244,65 @@ def test_decomposition_json_shape(spec, data):
             "commutes",
             "nil_index",
         }
+
+
+# --------------------------------------------------------------------------
+# the per-element memos
+
+
+def test_returned_lists_are_fresh():
+    ring = build("T2(Z4)")
+    whole = unit_ideal(ring)
+    for x in (0, 5, 17, 38):
+        for call in (
+            lambda: nil_clean_decompositions(ring, x),
+            lambda: clean_decompositions(ring, x),
+            lambda: decomposition_within_ideal(whole, x),
+        ):
+            first = call()
+            before = list(first)
+            first.clear()
+            first.append(None)
+            assert call() == before
+
+
+def test_decompositions_are_built_for_the_asked_element_only(monkeypatch):
+    made = []
+    real = decompose_module._make
+
+    def make(ring, x, e, kind):
+        made.append((x, kind))
+        return real(ring, x, e, kind)
+
+    monkeypatch.setattr(decompose_module, "_make", make)
+    ring = make_zmod(1024)
+    decs = nil_clean_decompositions(ring, 5)
+    assert pairs(decs) == [(1, 4)]
+    assert made == [(5, "nil-clean")]
+    clean_decompositions(ring, 5)
+    assert {x for x, _ in made} == {5}
+
+
+def test_run_all_makes_each_decomposition_once(monkeypatch):
+    """Structural guard: one _make and one verify() per (ring, x, e, kind)."""
+    made = Counter()
+    verified = Counter()
+    alive = []  # keeps every ring alive, so no id() is reused within the run
+    real_make = decompose_module._make
+    real_verify = Decomposition.verify
+
+    def make(ring, x, e, kind):
+        alive.append(ring)
+        made[id(ring), x, e, kind] += 1
+        return real_make(ring, x, e, kind)
+
+    def verify(self):
+        x, e = self.element, self.idempotent
+        verified[id(x.ring), x.index, e.index, self.kind] += 1
+        return real_verify(self)
+
+    monkeypatch.setattr(decompose_module, "_make", make)
+    monkeypatch.setattr(Decomposition, "verify", verify)
+    run_all()
+    assert made and max(made.values()) == 1
+    assert verified == made

@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 import nilclean.theorems as theorems
-from nilclean import FiniteRing, Ideal, NilCleanError, run_all
+from nilclean import FiniteRing, Ideal, NilCleanError, all_ideals, build, run_all
+from oracles import brute_pairs, naive_is_unit
 
 FIXTURE = Path(__file__).parent / "golden" / "forced_witnesses.json"
 
@@ -40,7 +41,8 @@ FLIPPED = (
 # One argument key in FLIP_MODULUS is flipped.  The salt picks which: with
 # it the flips reach 21 of the 27 checks.  The other six (L1, PPP1,
 # PPP1_cor, local_cor, morita_proj, nilindex_growth) read none of these
-# predicates on the way to a counterexample.
+# predicates on the way to a counterexample; L1's constructed-pair witness is
+# pinned by test_l1_constructed_pair_witness below instead.
 FLIP_MODULUS = 5
 FLIP_SALT = "b"
 
@@ -102,3 +104,52 @@ def test_flips_force_counterexamples():
         if report["verdict"] == "counterexample"
     }
     assert len(forced) == 21
+
+
+# L1's last branch, the constructed clean pair (1-e, -1-n) of x for each
+# -x = e + n, holds on every ring, so no flip above reaches it.  Taking one
+# unit away from the check's view of one ring does: the witness is the first
+# pair, in ideal and element order, whose second part is that unit.
+L1_RING = "T2(Z4)"
+L1_REMOVED_UNIT = 21
+
+
+def _brute_l1_witness(ring, removed: int) -> dict:
+    """The L1 witness, found by walking the ideals with brute-force pairs."""
+    one = ring.one_i
+    for ideal in all_ideals(ring):
+        members = ideal.indices
+        nil_clean = all(brute_pairs(ring, x, "nil-clean") for x in members)
+        clean = all(brute_pairs(ring, x, "clean") for x in members)
+        if not (nil_clean and clean):
+            continue
+        for x in members:
+            for e, n in brute_pairs(ring, ring.neg_i(x), "nil-clean"):
+                em = ring.sub_i(one, e)
+                um = ring.neg_i(ring.add_i(one, n))
+                if um == removed or not naive_is_unit(ring, um):
+                    return {
+                        "ring": ring.spec,
+                        "reason": "constructed clean pair fails",
+                        "ideal": sorted(members),
+                        "element": x,
+                        "element_label": ring.label(x),
+                        "idempotent": em,
+                        "unit": um,
+                    }
+    raise AssertionError("no constructed pair uses the removed unit")
+
+
+def test_l1_constructed_pair_witness(monkeypatch):
+    real = theorems.units
+
+    def units(ring):
+        found = real(ring)
+        return found - {L1_REMOVED_UNIT} if ring.spec == L1_RING else found
+
+    monkeypatch.setattr(theorems, "units", units)
+    report = run_all(ids=["L1"])[0]
+    assert report.verdict == "counterexample"
+    expected = _brute_l1_witness(build(L1_RING), L1_REMOVED_UNIT)
+    assert report.witness == expected
+    assert len(expected["ideal"]) > 1 and expected["element"] != 0

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import nilclean.decompose as decompose_module
 from nilclean import (
     NotAlmostIdempotent,
     PreconditionViolated,
@@ -11,6 +14,7 @@ from nilclean import (
     lift_idempotent_path,
     make_zmod,
     nilpotency_index,
+    run_all,
 )
 
 
@@ -106,3 +110,55 @@ def test_lift_mod_nil_over_family(small_family_rings):
                     e = lift_idempotent_mod_nil(ring, ideal, x)
                     assert is_idempotent(ring, e)
                     assert ring.sub_i(e.index, x) in ideal
+
+
+# --------------------------------------------------------------------------
+# the per-element path memo
+
+
+def test_lift_path_list_is_fresh():
+    z8 = make_zmod(8)
+    path = lift_idempotent_path(z8, 3)
+    path.clear()
+    assert [e.index for e in lift_idempotent_path(z8, 3)] == [3, 5, 1]
+    assert lift_idempotent(z8, 3).index == 1
+
+
+def test_lift_failure_raises_on_every_call():
+    z6 = make_zmod(6)
+    for _ in range(3):
+        with pytest.raises(NotAlmostIdempotent):
+            lift_idempotent_path(z6, 2)
+        with pytest.raises(NotAlmostIdempotent):
+            lift_idempotent(z6, 2)
+
+
+def test_lift_fills_only_the_asked_element(monkeypatch):
+    filled = []
+    real = decompose_module._lift_path
+
+    def fill(ring, i):
+        filled.append(i)
+        return real(ring, i)
+
+    monkeypatch.setattr(decompose_module, "_lift_path", fill)
+    ring = make_zmod(1024)
+    for _ in range(3):
+        assert lift_idempotent(ring, 3).index == 1
+    assert filled == [3]
+
+
+def test_run_all_lifts_each_element_once(monkeypatch):
+    """Structural guard: one lifting fill per (ring, x) in a whole run."""
+    filled = Counter()
+    alive = []  # keeps every ring alive, so no id() is reused within the run
+    real = decompose_module._lift_path
+
+    def fill(ring, i):
+        alive.append(ring)
+        filled[id(ring), i] += 1
+        return real(ring, i)
+
+    monkeypatch.setattr(decompose_module, "_lift_path", fill)
+    run_all()
+    assert filled and max(filled.values()) == 1
