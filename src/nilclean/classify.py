@@ -33,12 +33,9 @@ def nilpotents(ring: FiniteRing) -> Dict[int, int]:
     """Index -> nilpotency index for every nilpotent element.
 
     One walk raises every element to its powers x, x^2, ... at once, and an
-    element still nonzero after log2(order) steps is not nilpotent.  If x
-    has index k, the right ideals R > xR > x^2R > ... > x^kR = 0 strictly
-    decrease: were x^iR = x^(i+1)R with i < k, then x^i = x^(i+1)r = x*x^i*r
-    for some r, so x^i = x^k*x^i*r^k = 0.  Each is an additive subgroup of
-    the one before, so at most half its size, and k <= log2(order).  The
-    walk costs O(n log n) list steps.
+    element still nonzero after log2(order) steps is not nilpotent (the
+    bound is proved in :func:`nilpotency_index`).  The walk costs
+    O(n log n) list steps.
     """
 
     def fill():
@@ -59,8 +56,25 @@ def nilpotents(ring: FiniteRing) -> Dict[int, int]:
 
 
 def nilpotency_index(ring: FiniteRing, x: ElemLike) -> Optional[int]:
-    """Least k >= 1 with x^k = 0, or None when x is not nilpotent."""
-    return nilpotents(ring).get(ring.index_of(x))
+    """Least k >= 1 with x^k = 0, or None when x is not nilpotent.
+
+    Walks x's own powers x, x^2, ... along row x of the multiplication
+    table, and x is not nilpotent if it is still nonzero after log2(order)
+    steps.  If x has index k, the right ideals R > xR > x^2R > ... > x^kR =
+    0 strictly decrease: were x^iR = x^(i+1)R with i < k, then x^i =
+    x^(i+1)r = x*x^i*r for some r, so x^i = x^k*x^i*r^k = 0.  Each is an
+    additive subgroup of the one before, so at most half its size, and
+    k <= log2(order).  Only row x is read, so the walk neither needs the
+    ``nilpotents`` fill nor builds other rows of a ring built row by row.
+    """
+    i = ring.index_of(x)
+    row, zero = ring.mul_row(i), ring.zero_i
+    power = i
+    for k in range(1, ring.order.bit_length()):
+        if power == zero:
+            return k
+        power = row[power]
+    return None
 
 
 def is_nilpotent(ring: FiniteRing, x: ElemLike) -> bool:

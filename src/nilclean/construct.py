@@ -32,7 +32,7 @@ from .errors import (
     OrderCapExceeded,
     ParseError,
 )
-from .ring import Elem, FiniteRing
+from .ring import Elem, FiniteRing, LazyRow
 
 DEFAULT_ORDER_CAP = 4096
 DEFAULT_IDEAL_CAP = 512
@@ -296,15 +296,21 @@ def _componentwise_list(vectors, ints) -> list:
     return _radix_sum([[s * x for x in v] for v, s in zip(vectors, strides)], ints)
 
 
-def _zmod_add_rows(n: int) -> list:
-    # row i is r rotated left by i: one slice of r twice over
+def _zmod_add_row(n: int):
+    """Builder of Z_n addition rows: row i is r rotated left by i, one slice
+    of r twice over."""
     r = list(range(n))
     rr = r + r
-    return [rr[i : i + n] for i in r]
+    return lambda i: rr[i : i + n]
 
 
-def _zmod_mul_rows(n: int) -> list:
-    """Rows of i*j mod n, cut from stepped slices of one repeated residue list.
+def _zmod_add_rows(n: int) -> list:
+    return list(map(_zmod_add_row(n), range(n)))
+
+
+def _zmod_mul_row(n: int):
+    """Builder of Z_n multiplication rows, i*j mod n cut from stepped slices
+    of one repeated residue list.
 
     With r = [0, 1, ..., n-1] and s = r * repeat, s[t] == t % n for every
     t < repeat*n: t = k*n + (t % n) with k < repeat, and copy k of r sits at
@@ -318,18 +324,20 @@ def _zmod_mul_rows(n: int) -> list:
     runs are assigned into a row allocated at full length, which holds no
     spare slots as a list grown by appending would.
     """
-    repeat = 64  # s holds 64*n pointers while the rows are cut
+    repeat = 64  # s holds 64*n pointers while the builder lives
     r = list(range(n))
     s = r * repeat
-    rows = [r[:1] * n]
-    for i in r[1:]:
-        per = min(n, (repeat - 1) * n // i + 1)
+
+    def build(i: int) -> list:
         row = r[:1] * n
-        for q in range(0, n, per):
-            start = i * q % n
-            row[q : q + per] = s[start : start + i * min(per, n - q) : i]
-        rows.append(row)
-    return rows
+        if i:
+            per = min(n, (repeat - 1) * n // i + 1)
+            for q in range(0, n, per):
+                start = i * q % n
+                row[q : q + per] = s[start : start + i * min(per, n - q) : i]
+        return row
+
+    return build
 
 
 def _zmod_neg(n: int) -> list:
@@ -372,7 +380,12 @@ def _check_order(order: int, cap: int, name: str) -> None:
 
 
 def make_zmod(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
-    """The ring of integers modulo n; index i is the residue i."""
+    """The ring of integers modulo n; index i is the residue i.
+
+    Each table row is built on its first read (``LazyRow``), so a ring asked
+    about a few elements, such as the nilpotency index of 2 in Z1024,
+    builds only their rows.
+    """
     if n < 2:
         raise BadParameter(f"modulus must be at least 2, got {n}")
     _check_order(n, cap, f"Z{n}")
@@ -382,8 +395,8 @@ def make_zmod(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         one=1,
         spec=f"Z{n}",
         structure=("zmod", n),
-        add=_zmod_add_rows(n),
-        mul=_zmod_mul_rows(n),
+        add=LazyRow.table(n, _zmod_add_row(n)),
+        mul=LazyRow.table(n, _zmod_mul_row(n)),
         neg=_zmod_neg(n),
     )
 

@@ -1,10 +1,13 @@
 """Finite unital rings with canonical element indexing.
 
 Every ring maps its elements onto the indices ``0 .. order-1`` and stores
-its addition and multiplication as whole Cayley tables, which the
+its addition and multiplication as Cayley tables, lists of rows, which the
 constructors build row by row from tables that already exist.  A ring keeps
 the tables it is given and never copies them; at order n they hold about
-16*n^2 bytes.
+16*n^2 bytes once every row is built.  A row may be a :class:`LazyRow`
+placeholder that builds the row on first read and puts it in its place, so
+a ring asked about a few elements builds only their rows; ``add_row`` and
+``mul_row`` always return built rows.
 
 A ring is immutable once built; the ``cached`` helper backs fill-once memo
 slots (classifier sets, ideal lists) whose fills are pure and idempotent.
@@ -90,11 +93,45 @@ class Elem:
 ElemLike = Union[Elem, int]
 
 
+class LazyRow:
+    """Placeholder for row `i` of the table `rows`, built by ``build(i)``.
+
+    The first index builds the row, writes the list over this placeholder
+    in `rows` and drops the references to `rows` and `build`, so a table
+    whose rows have all been read holds only lists and nothing that the
+    builder keeps alive.  Only the table holds a placeholder, so each is
+    read once: later reads of ``rows[i][j]`` hit the list directly.
+    """
+
+    __slots__ = ("rows", "i", "build")
+
+    def __init__(self, rows: list, i: int, build: Callable[[int], list]):
+        self.rows = rows
+        self.i = i
+        self.build = build
+
+    @classmethod
+    def table(cls, n: int, build: Callable[[int], list]) -> list:
+        """A table of n unbuilt rows, row i to be built by ``build(i)``."""
+        rows: list = []
+        rows.extend(cls(rows, i, build) for i in range(n))
+        return rows
+
+    def built(self) -> list:
+        row = self.rows[self.i] = self.build(self.i)
+        self.rows = self.build = None
+        return row
+
+    def __getitem__(self, j):
+        return self.built()[j]
+
+
 class FiniteRing:
     """A finite associative ring with unity, elements indexed 0..order-1.
 
     `add` and `mul` are Cayley tables, lists of rows taken as given and never
-    copied; `neg` is the negation list, or None to scan the add table for
+    copied, whose rows may be :class:`LazyRow` placeholders built on first
+    read; `neg` is the negation list, or None to scan the add table for
     inverses.
     """
 
@@ -146,7 +183,7 @@ class FiniteRing:
     def _scan_negatives(self) -> list:
         zero = self.zero_i
         out = []
-        for row in self._add_rows:
+        for row in map(self.add_row, range(self.order)):
             # a row without zero has no additive inverse; keep a placeholder so
             # verify_axioms can report the add_inverse violation instead of
             # crashing here
@@ -243,10 +280,14 @@ class FiniteRing:
         return value
 
     def add_row(self, i: int) -> list:
-        return self._add_rows[i]
+        """Row i of the addition table, built if it was not yet."""
+        row = self._add_rows[i]
+        return row.built() if type(row) is LazyRow else row
 
     def mul_row(self, i: int) -> list:
-        return self._mul_rows[i]
+        """Row i of the multiplication table, built if it was not yet."""
+        row = self._mul_rows[i]
+        return row.built() if type(row) is LazyRow else row
 
     def __repr__(self):
         return f"<FiniteRing {self.spec} order={self.order}>"

@@ -35,19 +35,22 @@ def test_nilpotency_examples():
 
 def test_nilpotency_matches_naive_iteration(differential_rings):
     for ring in differential_rings:
+        nil = nilpotents(ring)
         for x in range(ring.order):
-            assert nilpotency_index(ring, x) == naive_nil_index(ring, x), (
-                ring.spec,
-                x,
-            )
+            k = nilpotency_index(ring, x)
+            assert k == naive_nil_index(ring, x) == nil.get(x), (ring.spec, x)
 
 
 def test_power_walk_reaches_the_log2_bound():
     # 2 in Z1024 has index 10 = log2(1024): a walk one step shorter misses it
     z1024 = make_zmod(1024)
-    for x in range(z1024.order):
-        assert nilpotency_index(z1024, x) == naive_nil_index(z1024, x), x
-    assert max(nilpotents(z1024).values()) == 10
+    walked = [nilpotency_index(z1024, x) for x in range(z1024.order)]
+    # each element walks its own powers; the whole-ring fill is not forced
+    assert "nilpotents" not in z1024._memo
+    nil = nilpotents(z1024)
+    for x, k in enumerate(walked):
+        assert k == naive_nil_index(z1024, x) == nil.get(x), x
+    assert max(nil.values()) == 10
 
 
 def test_nil_index_is_sharp(small_family_rings):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from nilclean import (
     BadParameter,
     Caps,
     DEFAULT_FAMILY,
+    FiniteRing,
     NotCentralIdempotent,
     OrderCapExceeded,
     ParseError,
@@ -306,10 +308,19 @@ def test_tables_above_order_1024_match_the_reference():
 
 
 def _assert_zmod_matches_reference(n):
+    """Rows are built on first read, so they are reached in a seeded random
+    order, first through one add_i/mul_i entry each and only then as whole
+    rows."""
     ring = make_zmod(n)
     add, mul, neg = reference_ops(ring)
     every = range(n)
-    for i in every:
+    rng = random.Random(n)
+    order = rng.sample(every, n)
+    for i in order:
+        j = rng.randrange(n)
+        assert ring.add_i(i, j) == add(i, j), (n, i, j)
+        assert ring.mul_i(i, j) == mul(i, j), (n, i, j)
+    for i in order:
         assert ring.add_row(i) == list(map(add, itertools.repeat(i, n), every)), (n, i)
         assert ring.mul_row(i) == list(map(mul, itertools.repeat(i, n), every)), (n, i)
     assert [ring.neg_i(i) for i in every] == list(map(neg, every)), n
@@ -326,6 +337,35 @@ def test_zmod_tables_match_the_reference_for_every_small_modulus():
 @pytest.mark.parametrize("n", [1023, 1024, 1025, 2047])
 def test_zmod_tables_match_the_reference_above_order_1000(n):
     _assert_zmod_matches_reference(n)
+
+
+def test_zmod_row_accessors_return_built_rows():
+    ring = make_zmod(97)
+    for i in random.Random(97).sample(range(97), 97):
+        for row in (ring.add_row(i), ring.mul_row(i)):
+            assert type(row) is list, i
+        assert ring.add_row(i) is ring.add_row(i)
+        assert ring.mul_row(i) is ring.mul_row(i)
+        assert ring.mul_i(i, 5) == ring.mul_row(i)[5] == i * 5 % 97
+
+
+def test_zmod_filled_tables_drop_their_row_builders():
+    """Once every row is read the tables hold only lists, and the builders,
+    with the 64*n residue list the multiplication rows are cut from, are
+    freed."""
+    ring = make_zmod(300)
+    builders = [weakref.ref(ring._add_rows[0].build), weakref.ref(ring._mul_rows[0].build)]
+    for i in range(300):
+        ring.add_i(i, 0)
+        ring.mul_i(i, 0)
+    assert all(type(row) is list for row in ring._add_rows + ring._mul_rows)
+    assert [b() for b in builders] == [None, None]
+
+
+def test_negatives_are_scanned_from_unbuilt_rows():
+    z = make_zmod(45)
+    ring = FiniteRing(45, 0, 1, "Z45", ("zmod", 45), z._add_rows, z._mul_rows)
+    assert [ring.neg_i(i) for i in range(45)] == [-i % 45 for i in range(45)]
 
 
 def test_zmod_mul_entries_share_one_int_per_residue():

@@ -150,6 +150,25 @@ def test_nilpotency_index_of_two_grows_with_the_exponent():
         assert nilpotency_index(ring, 2 % (2 ** n)) == n
 
 
+def test_nilindex_growth_builds_only_the_rows_it_reads(monkeypatch):
+    rings, make = [], theorems.make_zmod
+
+    def recording_make_zmod(*args, **kwargs):
+        rings.append(make(*args, **kwargs))
+        return rings[-1]
+
+    monkeypatch.setattr(theorems, "make_zmod", recording_make_zmod)
+    (report,) = run_all(ids=["nilindex_growth"])
+    assert report.verdict == "verified"
+    assert report.instances_tested == report.hypotheses_met == 10
+    assert [ring.order for ring in rings] == [2 ** n for n in range(1, 11)]
+    for n, ring in enumerate(rings, 1):
+        built_mul = sum(type(row) is list for row in ring._mul_rows)
+        built_add = sum(type(row) is list for row in ring._add_rows)
+        assert built_mul <= n + 1, (ring.spec, built_mul)
+        assert built_mul < ring.order and built_add < ring.order, ring.spec
+
+
 def test_morita_zero_iff_reports_both_readings():
     report = run_check("morita_zero_iff", ["MZ(4,2,2)", "MZ(2,2,2)"])
     assert report.verdict == "verified"
