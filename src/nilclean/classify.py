@@ -30,26 +30,11 @@ def is_idempotent(ring: FiniteRing, x: ElemLike) -> bool:
 
 
 def nilpotents(ring: FiniteRing) -> Dict[int, int]:
-    """Index -> nilpotency index for every nilpotent element.
-
-    One walk raises every element to its powers x, x^2, ... at once, and an
-    element still nonzero after log2(order) steps is not nilpotent (the
-    bound is proved in :func:`nilpotency_index`).  The walk costs
-    O(n log n) list steps.
-    """
+    """Index -> nilpotency index for every nilpotent element, from one
+    :func:`nilpotency_index` walk per element: O(n log n) lookups."""
 
     def fill():
-        mul, zero = ring.mul_i, ring.zero_i
-        index = [None] * ring.order
-        power = list(range(ring.order))  # power[x] = x^k for live x
-        live = range(ring.order)
-        for k in range(1, ring.order.bit_length()):
-            for x in live:
-                if power[x] == zero:
-                    index[x] = k
-            live = [x for x in live if index[x] is None]
-            for x in live:
-                power[x] = mul(power[x], x)
+        index = map(nilpotency_index, itertools.repeat(ring), range(ring.order))
         return {x: k for x, k in enumerate(index) if k is not None}
 
     return ring.cached("nilpotents", fill)
@@ -64,8 +49,8 @@ def nilpotency_index(ring: FiniteRing, x: ElemLike) -> Optional[int]:
     0 strictly decrease: were x^iR = x^(i+1)R with i < k, then x^i =
     x^(i+1)r = x*x^i*r for some r, so x^i = x^k*x^i*r^k = 0.  Each is an
     additive subgroup of the one before, so at most half its size, and
-    k <= log2(order).  Only row x is read, so the walk neither needs the
-    ``nilpotents`` fill nor builds other rows of a ring built row by row.
+    k <= log2(order).  Only row x is read, so the walk builds no other row
+    of a ring built row by row.
     """
     i = ring.index_of(x)
     row, zero = ring.mul_row(i), ring.zero_i

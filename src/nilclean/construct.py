@@ -21,9 +21,11 @@ membership sets and tables stay uniform across families.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
 from math import gcd, prod
+from operator import itemgetter
 from typing import Tuple, Union
 
 from .errors import (
@@ -252,10 +254,15 @@ def parse_ring_spec(text: str) -> RingSpec:
 # --------------------------------------------------------------------------
 # table builders
 #
-# Every constructor hands FiniteRing whole tables, made from rows that already
-# exist by index arithmetic, with no function call per entry.  Entries are
-# looked up in one shared ``ints = list(range(order))`` so equal entries share
-# one int object.
+# Z_n rows are cut from stepped slices on their first read (``LazyRow``);
+# every other constructor builds whole tables from tables that already
+# exist.  Products and the additive groups of T_n, Id and MZ are
+# componentwise, one comprehension step per entry.  The multiplication of
+# T_n, Id and MZ is spanned from the products of additive generators, with
+# no Python work per entry (``_bilinear_rows``).  Quotients and corners are
+# induced from the parent's rows.  Entries are entries of other tables or
+# looked up in one shared ``ints = list(range(order))``, so equal entries
+# share one int object.
 
 
 def _strides(orders) -> list:
@@ -287,13 +294,52 @@ def _componentwise_rows(tables, ints) -> list:
     strides = _strides([len(t) for t in tables])
     # the last slot has stride 1, so its table is used as it is
     scaled = [[[s * v for v in row] for row in t] for t, s in zip(tables[:-1], strides)]
-    return [_radix_sum(rows, ints) for rows in product(*scaled, tables[-1])]
+    return [_radix_sum(rows, ints) for rows in itertools.product(*scaled, tables[-1])]
 
 
 def _componentwise_list(vectors, ints) -> list:
     """The componentwise unary map on tuples, one vector per slot."""
     strides = _strides([len(v) for v in vectors])
     return _radix_sum([[s * x for x in v] for v, s in zip(vectors, strides)], ints)
+
+
+def _bilinear_rows(add: list, zero: int, product) -> list:
+    """Multiplication rows of the ring with add rows `add`, zero `zero` and
+    product ``product(x, y)``.
+
+    In a ring x -> xg and y -> xy are additive, so every column and row is
+    fixed by its values on additive generators, and `product` is called only
+    on pairs of the k <= log2(n) generators that ``ideals._span`` keeps.
+    Each column x -> xg is listed along that span from the products a*g,
+    then each row y -> xy from its values x*g read off the columns: one
+    ``map`` over an add row per block of cosets (``ideals._cosets``).
+    """
+    from .ideals import _cosets, _span
+
+    n = len(add)
+    _, listed, gens = _span(add.__getitem__, n, (zero,), range(n))
+    # generator g opens the cosets of the span listed before it
+    sizes = [listed.index(g) for g in gens] + [n]
+    counts = [b // a for a, b in zip(sizes, sizes[1:])]
+
+    def along_span(values) -> list:
+        out = [zero]
+        for v, m in zip(values, counts):
+            _cosets(add.__getitem__, out, v, m)
+        return out
+
+    cols = [along_span([product(a, g) for a in gens]) for g in gens]
+    # reads a row listed along the span in index order, unless they agree
+    at = None
+    if listed != sorted(listed):
+        at = itemgetter(*sorted(range(n), key=listed.__getitem__))
+    rows = [None] * n
+    # listed from the end, so the columns shrink as the table grows
+    while listed:
+        row = along_span([col.pop() for col in cols])
+        # copied out at exact length, as a grown list keeps spare slots
+        rows[listed.pop()] = row[:] if at is None else list(at(row))
+    return rows
 
 
 def _zmod_add_row(n: int):
@@ -439,51 +485,6 @@ def make_product(parts, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     )
 
 
-def _triangular_mul_rows(A, M, zero: int, n: int, ints) -> list:
-    """Multiplication rows of n-by-n upper-triangular matrices over the base
-    ring with add rows `A` and mul rows `M`.
-
-    Entry (r, c) of xy reads only column c of y.  So each row is first built
-    with y's entries in column-major order, where it is the mixed-radix sum
-    of one vector per column of y, and then permuted to the row-major index.
-    """
-    positions = TRI_POSITIONS[n]
-    k = len(positions)
-    b = len(A)
-    place = {pos: b ** (k - 1 - t) for t, pos in enumerate(positions)}
-    col_major = [(r, c) for c in range(n) for r in range(c + 1)]
-    col_place = [b ** (k - 1 - t) for t in range(k)]
-    perm = None
-    if col_major != list(positions):
-        perm = []
-        for y in product(range(b), repeat=k):
-            entries = dict(zip(positions, y))
-            perm.append(sum(entries[pos] * p for pos, p in zip(col_major, col_place)))
-    col_tuples = [list(product(range(b), repeat=c + 1)) for c in range(n)]
-    rows = []
-    for x in product(range(b), repeat=k):
-        xe = dict(zip(positions, x))
-        vectors = []
-        for c in range(n):
-            # vector over y's column c, (y[0][c], .., y[c][c]) in mixed radix;
-            # its entry is the place-weighted column c of xy
-            mrows = [[M[xe[(r, t)]] for t in range(r, c + 1)] for r in range(c + 1)]
-            weights = [place[(r, c)] for r in range(c + 1)]
-            vec = []
-            for ycol in col_tuples[c]:
-                total = 0
-                for r, w in enumerate(weights):
-                    acc = zero
-                    for m_rt, y in zip(mrows[r], ycol[r:]):
-                        acc = A[acc][m_rt[y]]
-                    total += w * acc
-                vec.append(total)
-            vectors.append(vec)
-        row = _radix_sum(vectors, ints)
-        rows.append(row if perm is None else [row[p] for p in perm])
-    return rows
-
-
 def make_upper_triangular(base: FiniteRing, n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """n-by-n upper-triangular matrices over `base`, n in {2, 3}.
 
@@ -515,8 +516,15 @@ def make_upper_triangular(base: FiniteRing, n: int, cap: int = DEFAULT_ORDER_CAP
         return i
 
     ints = list(range(order))
-    base_add, base_mul, base_neg = _table_rows(base)
+    base_add, _, base_neg = _table_rows(base)
     one_entries = [base.one_i if r == c else base.zero_i for (r, c) in positions]
+
+    def product(i: int, j: int) -> int:
+        x, y = dict(zip(positions, decode(i))), dict(zip(positions, decode(j)))
+        return encode(
+            reduce(base.add_i, [base.mul_i(x[r, t], y[t, c]) for t in range(r, c + 1)])
+            for r, c in positions
+        )
 
     def labeler(i):
         entries = decode(i)
@@ -531,14 +539,15 @@ def make_upper_triangular(base: FiniteRing, n: int, cap: int = DEFAULT_ORDER_CAP
             rows.append(" ".join(cells))
         return "[" + "; ".join(rows) + "]"
 
+    add = _componentwise_rows([base_add] * k, ints)
     return FiniteRing(
         order=order,
         zero=0,
         one=encode(one_entries),
         spec=spec,
         structure=("tri", n, base),
-        add=_componentwise_rows([base_add] * k, ints),
-        mul=_triangular_mul_rows(base_add, base_mul, base.zero_i, n, ints),
+        add=add,
+        mul=_bilinear_rows(add, 0, product),
         neg=_componentwise_list([base_neg] * k, ints),
         decode=decode,
         labeler=labeler,
@@ -557,20 +566,21 @@ def make_idealization(n: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRin
     order = n * m
     spec = f"Id({n},{m})"
     _check_order(order, cap, spec)
+
+    def product(i: int, j: int) -> int:
+        (r, v), (s, w) = divmod(i, m), divmod(j, m)
+        return (r * s) % n * m + (r * w + s * v) % m
+
     ints = list(range(order))
-    mul = []
-    for r, v in product(range(n), range(m)):
-        heads = [((r * s) % n) * m for s in range(n)]
-        rw = [r * w for w in range(m)]
-        mul.append([ints[h + (x + s * v) % m] for s, h in enumerate(heads) for x in rw])
+    add = _componentwise_rows([_zmod_add_rows(n), _zmod_add_rows(m)], ints)
     return FiniteRing(
         order=order,
         zero=0,
         one=1 * m + 0,
         spec=spec,
         structure=("idealization", n, m),
-        add=_componentwise_rows([_zmod_add_rows(n), _zmod_add_rows(m)], ints),
-        mul=mul,
+        add=add,
+        mul=_bilinear_rows(add, 0, product),
         neg=_componentwise_list([_zmod_neg(n), _zmod_neg(m)], ints),
         decode=lambda i: (i // m, i % m),
         labeler=lambda i: f"({i // m},{i % m})",
@@ -602,26 +612,16 @@ def make_morita_zero(a: int, b: int, g: int, cap: int = DEFAULT_ORDER_CAP) -> Fi
     def encode(r, s, mm, nn) -> int:
         return ((r * b + s) * g + mm) * g + nn
 
+    def product(i: int, j: int) -> int:
+        (r1, s1, m1, n1), (r2, s2, m2, n2) = decode(i), decode(j)
+        # both cross pairings vanish: the diagonal never sees the strips
+        return encode(
+            (r1 * r2) % a, (s1 * s2) % b, (m1 * r2 + s1 * m2) % g, (r1 * n2 + n1 * s2) % g
+        )
+
     ints = list(range(order))
     slots = (a, b, g, g)
-    ra, rb, rg = range(a), range(b), range(g)
-    mul = []
-    for r1, s1, m1, n1 in product(ra, rb, rg, rg):
-        # the product's r and m digits read only r2 and m2 of the right
-        # factor, its s and n digits only s2 and n2
-        heads_r = [encode((r1 * r2) % a, 0, 0, 0) for r2 in ra]
-        strip_m = [[(m1 * r2 + s1 * m2) % g * g for m2 in rg] for r2 in ra]
-        heads_s = [encode(0, (s1 * s2) % b, 0, 0) for s2 in rb]
-        strip_n = [[(r1 * n2 + n1 * s2) % g for n2 in rg] for s2 in rb]
-        mul.append(
-            [
-                ints[hr + hs + x + y]
-                for hr, xs in zip(heads_r, strip_m)
-                for hs, ys in zip(heads_s, strip_n)
-                for x in xs
-                for y in ys
-            ]
-        )
+    add = _componentwise_rows([_zmod_add_rows(q) for q in slots], ints)
 
     def labeler(i):
         r, s, mm, nn = decode(i)
@@ -633,8 +633,8 @@ def make_morita_zero(a: int, b: int, g: int, cap: int = DEFAULT_ORDER_CAP) -> Fi
         one=encode(1, 1, 0, 0),
         spec=spec,
         structure=("morita_zero", a, b, g),
-        add=_componentwise_rows([_zmod_add_rows(q) for q in slots], ints),
-        mul=mul,
+        add=add,
+        mul=_bilinear_rows(add, 0, product),
         neg=_componentwise_list([_zmod_neg(q) for q in slots], ints),
         decode=decode,
         labeler=labeler,

@@ -6,9 +6,10 @@ which is what the enumeration loops spend their time on.
 
 Every ring has one memoized additive basis: k <= log2(n) elements whose
 sums reach the whole ring (``additive_basis``).  One span primitive grows an
-additive subgroup by whole cosets read off ``ring.add_row``; spanning a
+additive subgroup by whole cosets read off the addition rows; spanning a
 subgroup of size m costs O(m) list steps plus one O(n) flag array, however
-many generators are offered.  The ideal layer is built on it:
+many generators are offered.  The ideal layer is built on it, and so are
+the multiplication tables of ``construct._bilinear_rows``:
 
 - the ideal generated by g is the span of the k^2 products a*g*b over basis
   elements a, b: O(k^2 + |I|) per generated ideal, against n^2 products
@@ -61,24 +62,24 @@ def additive_basis(ring: FiniteRing) -> Tuple[int, ...]:
     )
 
 
-def _span(ring: FiniteRing, members: Iterable[int], gens: Iterable[int]):
-    """Grow the additive subgroup H listed by members by gens.
+def _span(add_row, order: int, members: Iterable[int], gens: Iterable[int]):
+    """Grow the additive subgroup H listed by members by gens, in a group of
+    `order` elements whose addition row of s is ``add_row(s)``.
 
     A generator s outside H adds the cosets H + s, H + 2s, ... up to the
-    first one that lands back in H; each coset is one walk of
-    ``ring.add_row(s)`` over the previous one.  Returns the grown mask, its
-    members (H's first, then each coset in order) and the generators that
-    grew it.
+    first one that lands back in H, listed by ``_cosets``.  Returns the
+    grown mask, its members (H's first, then each coset in order) and the
+    generators that grew it.
 
     On a table that is no additive group the cosets can overlap, and the
     member list could double with every generator.  A group's span never
     lists more than ``order`` members, so past that no further coset is
-    added and each generator not yet reached is kept as it is.  The work
-    stays O(order^2), and each generator offered is still either kept or
-    reached as s + x, for a kept s and an earlier member x.
+    counted.  The work stays O(order^2), and every member listed is still
+    made from the first one and the kept generators by sums: it is c + w
+    for an earlier member w, where c is s or c' + c' for an earlier such c'.
     """
     members = list(members)
-    inside = bytearray(ring.order)
+    inside = bytearray(order)
     for x in members:
         inside[x] = 1
     kept = []
@@ -86,23 +87,32 @@ def _span(ring: FiniteRing, members: Iterable[int], gens: Iterable[int]):
         if inside[s]:
             continue
         kept.append(s)
-        row = ring.add_row(s)
-        coset = members
-        while len(members) <= ring.order:
-            coset = [row[x] for x in coset]
-            # a coset of H is H itself or disjoint from it, and the first
-            # return to H comes before any repeat of an earlier coset
-            if inside[coset[0]]:
-                break
-            members.extend(coset)
-            for y in coset:
-                inside[y] = 1
+        h, row = len(members), add_row(s)
+        # a coset of H is H itself or disjoint from it, so the walk returns
+        # to H first at the m-th coset, H counted as the 0th
+        t, m = row[members[0]], 1
+        while not inside[t] and m * h <= order:
+            t, m = row[t], m + 1
+        _cosets(add_row, members, s, m)
+        for y in members[h:]:
+            inside[y] = 1
     return _mask_of_flags(inside), members, kept
+
+
+def _cosets(add_row, listed: list, s: int, m: int) -> None:
+    """Extend the list of H by H + s, H + 2s, ..., H + (m-1)s, in blocks of
+    1, 2, 4, ... cosets: once j cosets are listed, the next block is one
+    ``map`` of ``add_row(j*s)`` over the first min(j, m - j) of them."""
+    top, c = m * len(listed), s
+    while len(listed) < top:
+        row = add_row(c)
+        listed.extend(map(row.__getitem__, listed[: top - len(listed)]))
+        c = row[c]
 
 
 def _grow(ring: FiniteRing, gens: Iterable[int]):
     """The additive subgroup spanned by gens: (mask, members, kept gens)."""
-    return _span(ring, (ring.zero_i,), gens)
+    return _span(ring.add_row, ring.order, (ring.zero_i,), gens)
 
 
 def verify_ideal(ring: FiniteRing, mask: int) -> None:
@@ -240,7 +250,7 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
 
 
 def _sum_masks(ring: FiniteRing, am: int, bm: int) -> int:
-    return _span(ring, indices_of(am), indices_of(bm))[0]
+    return _span(ring.add_row, ring.order, indices_of(am), indices_of(bm))[0]
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:

@@ -422,17 +422,19 @@ def _certified(ring: FiniteRing) -> bool:
 
     1. O(n): x + 0 = x, x + (-x) = 0, 1x = x1 = x and 0x = x0 = 0.
     2. O(n^2): the add table equals its transpose.
-    3. Every element is kept in B or reached by the basis span as b + w,
-       b in B, w reached before (``ideals._span``, given x + 0 = x).  A B
-       longer than (n-1).bit_length() is no group's and is left to the scan.
+    3. The basis span (``ideals._span``) reaches every element from 0 and B
+       by sums u + w of two elements reached before.  A B longer than
+       (n-1).bit_length() is no group's and is left to the scan.
     4. O(n^2 k): for b in B and all x, y: (x+y)+b = x+(y+b), y(x+b) =
        yx + yb and (x+b)y = xy + by, compared as whole rows and columns.
     5. O(k^3): (ab)c = a(bc) for a, b, c in B.
 
-    Each law then holds on all of R by induction along the span.  Additive
-    associativity in z: (x+y)+(w+b) = ((x+y)+w)+b = (x+(y+w))+b =
-    x+((y+w)+b) = x+(y+(w+b)); so + is an abelian group.  Distributivity in
-    the added term likewise, from 0y = 0 = y0 at z = 0.  Then (x, y, z) ->
+    Each law then holds on all of R by induction along the span, since a
+    law holding at u and at w holds at w + u = u + w.  Additive
+    associativity in z: (x+y)+(w+u) = ((x+y)+w)+u = (x+(y+w))+u =
+    x+((y+w)+u) = x+(y+(w+u)); so + is an abelian group.  Distributivity in
+    the added term likewise, from 0y = 0 = y0 at z = 0: l(x+(w+u)) =
+    l((x+w)+u) = (l(x)+l(w))+l(u) = l(x)+l(w+u).  Then (x, y, z) ->
     (xy)z - x(yz) is additive in each argument and vanishes on B^3, so it
     vanishes on R^3.
     """

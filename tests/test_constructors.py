@@ -1,7 +1,10 @@
 import itertools
 import random
+import sys
 import tracemalloc
 import weakref
+
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +29,7 @@ from nilclean import (
     make_morita_zero,
     make_product,
     make_quotient,
+    make_table_ring,
     make_upper_triangular,
     make_zmod,
     parse_ring_spec,
@@ -293,18 +297,81 @@ def test_tables_match_per_entry_closures(spec):
     assert ring.mul_row(ring.one_i) == list(every)
 
 
-def test_tables_above_order_1024_match_the_reference():
+@pytest.mark.parametrize("spec", ["T2(Z11)", "Id(64,32)", "MZ(16,8,4)"])
+def test_tables_above_order_1024_match_the_reference(spec):
     """Rings between orders 1025 and 4096 hold tables too; a seeded sample of
-    rows of T2(Z11) (order 1331) matches the per-entry reference."""
-    ring = build("T2(Z11)")
-    assert ring.order == 1331
+    rows matches the per-entry reference."""
+    ring = build(spec)
+    assert 1024 < ring.order <= 4096
     add, mul, neg = reference_ops(ring)
     every = range(ring.order)
-    for i in random.Random(1331).sample(every, 24):
+    for i in random.Random(ring.order).sample(every, 24):
         assert ring.mul_row(i) is ring.mul_row(i)
         assert ring.add_row(i) == [add(i, j) for j in every], i
         assert ring.mul_row(i) == [mul(i, j) for j in every], i
     assert [ring.neg_i(i) for i in every] == [neg(i) for i in every]
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+# T_n(Z_q), Id(n,m) with m | n and MZ(a,b,g) with g | gcd(a,b), order <= 256
+BILINEAR_SPECS = st.one_of(
+    st.integers(2, 6).map(lambda q: f"T2(Z{q})"),
+    st.just("T3(Z2)"),
+    st.integers(2, 128).flatmap(
+        lambda n: st.sampled_from([m for m in _divisors(n) if n * m <= 256]).map(
+            lambda m: f"Id({n},{m})"
+        )
+    ),
+    st.tuples(st.integers(2, 64), st.integers(2, 64))
+    .filter(lambda ab: ab[0] * ab[1] <= 256)
+    .flatmap(
+        lambda ab: st.sampled_from(
+            [g for g in _divisors(gcd(*ab)) if ab[0] * ab[1] * g * g <= 256]
+        ).map(lambda g: f"MZ({ab[0]},{ab[1]},{g})")
+    ),
+)
+
+
+@given(BILINEAR_SPECS)
+def test_bilinear_tables_match_the_reference_on_drawn_parameters(spec):
+    ring = build(spec)
+    assert ring.order <= 256
+    add, mul, _ = reference_ops(ring)
+    every = range(ring.order)
+    for i in every:
+        assert ring.add_row(i) == list(map(add, itertools.repeat(i), every)), (spec, i)
+        assert ring.mul_row(i) == list(map(mul, itertools.repeat(i), every)), (spec, i)
+
+
+def test_triangular_rows_are_permuted_to_index_order():
+    """Over Z4 relabelled so that index 2 is the residue 3, the additive span
+    lists the elements out of index order, and the rows are put back in it."""
+    value = [0, 1, 3, 2]
+    index = {v: i for i, v in enumerate(value)}
+    z4 = make_table_ring(
+        [[index[(a + b) % 4] for b in value] for a in value],
+        [[index[(a * b) % 4] for b in value] for a in value],
+        0,
+        1,
+    )
+    ring = make_upper_triangular(z4, 2)
+    _, mul, _ = reference_ops(ring)
+    every = range(ring.order)
+    for i in every:
+        assert ring.mul_row(i) == [mul(i, j) for j in every], i
+        assert sys.getsizeof(ring.mul_row(i)) == sys.getsizeof([0] * ring.order)
+
+
+@pytest.mark.parametrize("spec", ["T2(Z6)", "Id(16,16)", "MZ(8,8,2)"])
+def test_bilinear_rows_hold_no_spare_slots(spec):
+    """Rows grown block by block are copied out at their exact length."""
+    ring = build(spec)
+    exact = sys.getsizeof([0] * ring.order)
+    for i in range(ring.order):
+        assert sys.getsizeof(ring.mul_row(i)) == exact, i
 
 
 def _assert_zmod_matches_reference(n):
