@@ -28,6 +28,7 @@ from math import gcd, prod
 from operator import itemgetter
 from typing import Tuple, Union
 
+from .classify import is_central
 from .errors import (
     BadParameter,
     NotCentralIdempotent,
@@ -254,25 +255,17 @@ def parse_ring_spec(text: str) -> RingSpec:
 # --------------------------------------------------------------------------
 # table builders
 #
-# Z_n rows are cut from stepped slices on their first read (``LazyRow``);
-# every other constructor builds whole tables from tables that already
-# exist.  Products and the additive groups of T_n, Id and MZ are
-# componentwise, one comprehension step per entry.  The multiplication of
-# T_n, Id and MZ is spanned from the products of additive generators, with
-# no Python work per entry (``_bilinear_rows``).  Quotients and corners are
-# induced from the parent's rows.  Entries are entries of other tables or
-# looked up in one shared ``ints = list(range(order))``, so equal entries
-# share one int object.
-
-
-def _strides(orders) -> list:
-    """Mixed-radix place values, first coordinate most significant."""
-    out, acc = [], 1
-    for o in reversed(orders):
-        out.append(acc)
-        acc *= o
-    out.reverse()
-    return out
+# Z_n rows are cut from stepped slices on their first read (``LazyRow``).
+# Products, T_n, Id and MZ are direct sums of their slots' additive groups,
+# and ``_direct_sum`` alone knows how their tuples are indexed; each of those
+# constructors names its slots, its product and its label format.  Their
+# additive groups are componentwise, one comprehension step per entry.  The
+# multiplication of a product is componentwise too; that of T_n, Id and MZ
+# is spanned from the products of additive generators, with no Python work
+# per entry (``_bilinear_rows``).  Quotients and corners are induced from
+# the parent's rows.  Entries are entries of other tables or looked up in
+# one shared ``ints = list(range(order))``, so equal entries share one int
+# object.
 
 
 def _radix_sum(vectors, ints) -> list:
@@ -289,18 +282,52 @@ def _radix_sum(vectors, ints) -> list:
     return [ints[a + v] for a in acc for v in last]
 
 
-def _componentwise_rows(tables, ints) -> list:
-    """Rows of the componentwise operation on tuples, one table per slot."""
-    strides = _strides([len(t) for t in tables])
-    # the last slot has stride 1, so its table is used as it is
-    scaled = [[[s * v for v in row] for row in t] for t, s in zip(tables[:-1], strides)]
-    return [_radix_sum(rows, ints) for rows in itertools.product(*scaled, tables[-1])]
+def _direct_sum(spec, structure, slots, zero, one, mul, labeler) -> FiniteRing:
+    """The ring on tuples over the slots' additive groups, added slot by slot.
 
+    `slots` holds one ``(add rows, negation list)`` pair per slot, and `zero`
+    and `one` are tuples.  The tuple ``(d_1, .., d_k)`` over slot orders
+    ``(o_1, .., o_k)`` has index ``d_1*s_1 + .. + d_k*s_k`` with stride
+    ``s_t = o_{t+1} * .. * o_k``: mixed radix, first slot most significant.
+    That is the tuple's position in ``itertools.product(*map(range, orders))``,
+    which advances its last iterable fastest, so ``decode`` reads the tuple
+    off that list.  `mul` is either the product formula on tuples, spanned
+    with ``_bilinear_rows``, or one multiplication table per slot for a
+    componentwise product.  `labeler` formats the entries of a decoded tuple,
+    passed as its arguments.
+    """
+    adds, negs = zip(*slots)
+    orders = [len(t) for t in adds]
+    order = prod(orders)
+    strides = [prod(orders[t + 1 :]) for t in range(len(orders))]
+    decode = list(itertools.product(*map(range, orders))).__getitem__
+    ints = list(range(order))
 
-def _componentwise_list(vectors, ints) -> list:
-    """The componentwise unary map on tuples, one vector per slot."""
-    strides = _strides([len(v) for v in vectors])
-    return _radix_sum([[s * x for x in v] for v, s in zip(vectors, strides)], ints)
+    def encode(entries) -> int:
+        return sum(d * s for d, s in zip(entries, strides))
+
+    def componentwise(tables) -> list:
+        # the last slot has stride 1, so its table is used as it is
+        scaled = [[[s * v for v in row] for row in t] for t, s in zip(tables[:-1], strides)]
+        return [_radix_sum(rows, ints) for rows in itertools.product(*scaled, tables[-1])]
+
+    add = componentwise(adds)
+    if callable(mul):  # a product formula on tuples
+        rows = _bilinear_rows(add, encode(zero), lambda i, j: encode(mul(decode(i), decode(j))))
+    else:  # one multiplication table per slot
+        rows = componentwise(mul)
+    return FiniteRing(
+        order=order,
+        zero=encode(zero),
+        one=encode(one),
+        spec=spec,
+        structure=structure,
+        add=add,
+        mul=rows,
+        neg=_radix_sum([[s * x for x in v] for v, s in zip(negs, strides)], ints),
+        decode=decode,
+        labeler=lambda i: labeler(*decode(i)),
+    )
 
 
 def _bilinear_rows(add: list, zero: int, product) -> list:
@@ -350,10 +377,6 @@ def _zmod_add_row(n: int):
     return lambda i: rr[i : i + n]
 
 
-def _zmod_add_rows(n: int) -> list:
-    return list(map(_zmod_add_row(n), range(n)))
-
-
 def _zmod_mul_row(n: int):
     """Builder of Z_n multiplication rows, i*j mod n cut from stepped slices
     of one repeated residue list.
@@ -391,14 +414,15 @@ def _zmod_neg(n: int) -> list:
     return r[:1] + r[:0:-1]
 
 
-def _table_rows(ring: FiniteRing) -> tuple:
-    """(add rows, mul rows, negation list) of a ring."""
-    n = ring.order
-    return (
-        [ring.add_row(i) for i in range(n)],
-        [ring.mul_row(i) for i in range(n)],
-        [ring.neg_i(i) for i in range(n)],
-    )
+def _zmod_slot(n: int) -> tuple:
+    """(add rows, negation list) of Z_n, a slot of ``_direct_sum``."""
+    return list(map(_zmod_add_row(n), range(n))), _zmod_neg(n)
+
+
+def _ring_slot(ring: FiniteRing) -> tuple:
+    """(add rows, negation list) of a ring, a slot of ``_direct_sum``."""
+    every = range(ring.order)
+    return list(map(ring.add_row, every)), list(map(ring.neg_i, every))
 
 
 def _induced_tables(ring: FiniteRing, elems, index) -> tuple:
@@ -453,35 +477,15 @@ def make_product(parts, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     if not parts:
         raise BadParameter("a product needs at least one part")
     spec = "x".join(p.spec for p in parts)
-    order = prod(p.order for p in parts)
-    _check_order(order, cap, spec)
-    strides = _strides([p.order for p in parts])
-
-    def decode(i: int) -> tuple:
-        out = []
-        for p, s in zip(parts, strides):
-            out.append((i // s) % p.order)
-        return tuple(out)
-
-    def encode(tup) -> int:
-        return sum(t * s for t, s in zip(tup, strides))
-
-    def labeler(i):
-        return "(" + ",".join(p.label(a) for p, a in zip(parts, decode(i))) + ")"
-
-    ints = list(range(order))
-    adds, muls, negs = zip(*map(_table_rows, parts))
-    return FiniteRing(
-        order=order,
-        zero=encode(tuple(p.zero_i for p in parts)),
-        one=encode(tuple(p.one_i for p in parts)),
-        spec=spec,
-        structure=("product", parts),
-        add=_componentwise_rows(adds, ints),
-        mul=_componentwise_rows(muls, ints),
-        neg=_componentwise_list(negs, ints),
-        decode=decode,
-        labeler=labeler,
+    _check_order(prod(p.order for p in parts), cap, spec)
+    return _direct_sum(
+        spec,
+        ("product", parts),
+        [_ring_slot(p) for p in parts],
+        zero=tuple(p.zero_i for p in parts),
+        one=tuple(p.one_i for p in parts),
+        mul=[list(map(p.mul_row, range(p.order))) for p in parts],
+        labeler=lambda *entries: "(" + ",".join(p.label(a) for p, a in zip(parts, entries)) + ")",
     )
 
 
@@ -495,62 +499,30 @@ def make_upper_triangular(base: FiniteRing, n: int, cap: int = DEFAULT_ORDER_CAP
         raise BadParameter(f"triangular size must be 2 or 3, got {n}")
     positions = TRI_POSITIONS[n]
     k = len(positions)
-    order = base.order ** k
     spec = f"T{n}({base.spec})"
-    _check_order(order, cap, spec)
-    pos_index = {pos: t for t, pos in enumerate(positions)}
-    b = base.order
+    _check_order(base.order ** k, cap, spec)
 
-    def decode(i: int) -> tuple:
-        out = []
-        for t in range(k - 1, -1, -1):
-            out.append(i % b)
-            i //= b
-        out.reverse()
-        return tuple(out)
-
-    def encode(entries) -> int:
-        i = 0
-        for e in entries:
-            i = i * b + e
-        return i
-
-    ints = list(range(order))
-    base_add, _, base_neg = _table_rows(base)
-    one_entries = [base.one_i if r == c else base.zero_i for (r, c) in positions]
-
-    def product(i: int, j: int) -> int:
-        x, y = dict(zip(positions, decode(i))), dict(zip(positions, decode(j)))
-        return encode(
+    def product(x, y) -> tuple:
+        x, y = dict(zip(positions, x)), dict(zip(positions, y))
+        return tuple(
             reduce(base.add_i, [base.mul_i(x[r, t], y[t, c]) for t in range(r, c + 1)])
             for r, c in positions
         )
 
-    def labeler(i):
-        entries = decode(i)
-        rows = []
-        for r in range(n):
-            cells = []
-            for c in range(n):
-                if c < r:
-                    cells.append(base.label(base.zero_i))
-                else:
-                    cells.append(base.label(entries[pos_index[(r, c)]]))
-            rows.append(" ".join(cells))
-        return "[" + "; ".join(rows) + "]"
+    # cell {t} is entry t of the upper triangle, and {k} the zero below it
+    cells = {pos: f"{{{t}}}" for t, pos in enumerate(positions)}
+    rows = (" ".join(cells.get((r, c), f"{{{k}}}") for c in range(n)) for r in range(n))
+    template = "[" + "; ".join(rows) + "]"
+    zero = base.label(base.zero_i)
 
-    add = _componentwise_rows([base_add] * k, ints)
-    return FiniteRing(
-        order=order,
-        zero=0,
-        one=encode(one_entries),
-        spec=spec,
-        structure=("tri", n, base),
-        add=add,
-        mul=_bilinear_rows(add, 0, product),
-        neg=_componentwise_list([base_neg] * k, ints),
-        decode=decode,
-        labeler=labeler,
+    return _direct_sum(
+        spec,
+        ("tri", n, base),
+        [_ring_slot(base)] * k,
+        zero=(base.zero_i,) * k,
+        one=tuple(base.one_i if r == c else base.zero_i for r, c in positions),
+        mul=product,
+        labeler=lambda *entries: template.format(*map(base.label, entries), zero),
     )
 
 
@@ -563,27 +535,21 @@ def make_idealization(n: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRin
         raise BadParameter(f"base modulus must be at least 2, got {n}")
     if m < 1 or n % m != 0:
         raise BadParameter(f"module modulus must divide {n}, got {m}")
-    order = n * m
     spec = f"Id({n},{m})"
-    _check_order(order, cap, spec)
+    _check_order(n * m, cap, spec)
 
-    def product(i: int, j: int) -> int:
-        (r, v), (s, w) = divmod(i, m), divmod(j, m)
-        return (r * s) % n * m + (r * w + s * v) % m
+    def product(x, y) -> tuple:
+        (r, v), (s, w) = x, y
+        return (r * s) % n, (r * w + s * v) % m
 
-    ints = list(range(order))
-    add = _componentwise_rows([_zmod_add_rows(n), _zmod_add_rows(m)], ints)
-    return FiniteRing(
-        order=order,
-        zero=0,
-        one=1 * m + 0,
-        spec=spec,
-        structure=("idealization", n, m),
-        add=add,
-        mul=_bilinear_rows(add, 0, product),
-        neg=_componentwise_list([_zmod_neg(n), _zmod_neg(m)], ints),
-        decode=lambda i: (i // m, i % m),
-        labeler=lambda i: f"({i // m},{i % m})",
+    return _direct_sum(
+        spec,
+        ("idealization", n, m),
+        [_zmod_slot(n), _zmod_slot(m)],
+        zero=(0, 0),
+        one=(1, 0),
+        mul=product,
+        labeler="({},{})".format,
     )
 
 
@@ -599,45 +565,22 @@ def make_morita_zero(a: int, b: int, g: int, cap: int = DEFAULT_ORDER_CAP) -> Fi
         raise BadParameter("diagonal moduli must be at least 2")
     if g < 1 or gcd(a, b) % g != 0:
         raise BadParameter(f"strip modulus {g} must divide gcd({a},{b})")
-    order = a * b * g * g
     spec = f"MZ({a},{b},{g})"
-    _check_order(order, cap, spec)
+    _check_order(a * b * g * g, cap, spec)
 
-    def decode(i: int) -> tuple:
-        i, nn = divmod(i, g)
-        i, mm = divmod(i, g)
-        r, s = divmod(i, b)
-        return (r, s, mm, nn)
-
-    def encode(r, s, mm, nn) -> int:
-        return ((r * b + s) * g + mm) * g + nn
-
-    def product(i: int, j: int) -> int:
-        (r1, s1, m1, n1), (r2, s2, m2, n2) = decode(i), decode(j)
+    def product(x, y) -> tuple:
+        (r1, s1, m1, n1), (r2, s2, m2, n2) = x, y
         # both cross pairings vanish: the diagonal never sees the strips
-        return encode(
-            (r1 * r2) % a, (s1 * s2) % b, (m1 * r2 + s1 * m2) % g, (r1 * n2 + n1 * s2) % g
-        )
+        return (r1 * r2) % a, (s1 * s2) % b, (m1 * r2 + s1 * m2) % g, (r1 * n2 + n1 * s2) % g
 
-    ints = list(range(order))
-    slots = (a, b, g, g)
-    add = _componentwise_rows([_zmod_add_rows(q) for q in slots], ints)
-
-    def labeler(i):
-        r, s, mm, nn = decode(i)
-        return f"[{r} {nn}; {mm} {s}]"
-
-    return FiniteRing(
-        order=order,
-        zero=0,
-        one=encode(1, 1, 0, 0),
-        spec=spec,
-        structure=("morita_zero", a, b, g),
-        add=add,
-        mul=_bilinear_rows(add, 0, product),
-        neg=_componentwise_list([_zmod_neg(q) for q in slots], ints),
-        decode=decode,
-        labeler=labeler,
+    return _direct_sum(
+        spec,
+        ("morita_zero", a, b, g),
+        [_zmod_slot(a), _zmod_slot(b), _zmod_slot(g), _zmod_slot(g)],
+        zero=(0, 0, 0, 0),
+        one=(1, 1, 0, 0),
+        mul=product,
+        labeler="[{0} {3}; {2} {1}]".format,
     )
 
 
@@ -737,11 +680,7 @@ def make_corner(ring: FiniteRing, e) -> tuple:
     e_i = ring.index_of(e)
     if e_i == ring.zero_i:
         raise BadParameter("corner identity must be nonzero")
-    # central: row e of the table equals column e
-    row_e = ring.mul_row(e_i)
-    if row_e[e_i] != e_i or any(
-        row_e[r] != ring.mul_i(r, e_i) for r in range(ring.order)
-    ):
+    if ring.mul_i(e_i, e_i) != e_i or not is_central(ring, e_i):
         raise NotCentralIdempotent(
             f"C({ring.spec};{e_i}): element {e_i} of {ring.spec} "
             "is not a central idempotent"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from operator import contains
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .classify import (
@@ -65,8 +66,6 @@ from .ideals import (
     image_ideal,
     is_nil_ideal,
     corner_ideal,
-    unit_ideal,
-    zero_ideal,
 )
 from .ring import EXHAUSTIVE_LIMIT, FiniteRing, is_commutative, verify_axioms
 
@@ -231,47 +230,15 @@ def _divisors(n: int) -> List[int]:
 # ideal builders for structured rings
 
 
-def _product_ideal(ring: FiniteRing, component_ideals) -> Ideal:
-    members = [
-        i
-        for i in range(ring.order)
-        if all(t in c for t, c in zip(ring.decode(i), component_ideals))
-    ]
-    return Ideal.from_members(ring, members)
-
-
-def _tri_full_ideal(tri: FiniteRing, base_ideal: Ideal) -> Ideal:
-    members = [
-        i for i in range(tri.order) if all(t in base_ideal for t in tri.decode(i))
-    ]
-    return Ideal.from_members(tri, members)
-
-
-def _tri2_pair_ideal(tri: FiniteRing, left: Ideal, right: Ideal) -> Ideal:
-    # members (a, b, d) with a in left, d in right, middle entry free
-    entries = map(tri.decode, range(tri.order))
-    members = [i for i, (a, _, d) in enumerate(entries) if a in left and d in right]
-    return Ideal.from_members(tri, members)
-
-
-def _idealization_ideal(ring: FiniteRing, base_ideal: Ideal, d: int) -> Ideal:
-    pairs = map(ring.decode, range(ring.order))
-    members = [i for i, (r, v) in enumerate(pairs) if r in base_ideal and v % d == 0]
-    return Ideal.from_members(ring, members)
+def _members_where(ring: FiniteRing, keep) -> List[int]:
+    """Indices of the elements whose decoded tuple satisfies `keep`."""
+    every = range(ring.order)
+    return list(itertools.compress(every, map(keep, map(ring.decode, every))))
 
 
 def _morita_projections(ring: FiniteRing, ideal: Ideal):
     """The entries the ideal's members take in each of the four blocks."""
     return tuple(map(set, zip(*map(ring.decode, ideal.indices))))
-
-
-def _morita_block_members(ring: FiniteRing, a1, b1, m1, n1) -> List[int]:
-    blocks = enumerate(map(ring.decode, range(ring.order)))
-    return [
-        i
-        for i, (r, s, m, n) in blocks
-        if r in a1 and s in b1 and m in m1 and n in n1
-    ]
 
 
 def _subgroups_mod(g: int) -> List[frozenset]:
@@ -586,7 +553,8 @@ def _check_fin_prod(ring, caps):
         return
     per_part = [_ideals(part, caps) for part in ring.structure[1]]
     for combo in itertools.product(*per_part):
-        product = _product_ideal(ring, combo)
+        members = _members_where(ring, lambda t: all(map(contains, combo, t)))
+        product = Ideal.from_members(ring, members)
         lhs = all(is_nil_clean_ideal(c) for c in combo)
         rhs = is_nil_clean_ideal(product)
         yield _iff(lhs, rhs, ring, reason, product)
@@ -605,7 +573,8 @@ def _check_dirsum(ring, caps):
     elif is_nil_clean_ring(ring):
         yield _w(ring, "mixed product ring is unexpectedly nil-clean")
     else:
-        strip = _product_ideal(ring, [unit_ideal(first), zero_ideal(second)])
+        zero = second.zero_i
+        strip = Ideal.from_members(ring, _members_where(ring, lambda t: t[1] == zero))
         reason = "first-factor strip is not a nil-clean ideal"
         yield _unless(is_nil_clean_ideal(strip), ring, reason, strip)
 
@@ -645,7 +614,8 @@ def _check_tt1(tri, caps):
     if tri.structure[0] != "tri":
         return
     for ideal in _ideals(tri.structure[2], caps):
-        lifted = _tri_full_ideal(tri, ideal)
+        entrywise = _members_where(tri, lambda t: all(x in ideal for x in t))
+        lifted = Ideal.from_members(tri, entrywise)
         lhs = is_nil_clean_ideal(ideal)
         rhs = is_nil_clean_ideal(lifted)
         base_ideal = sorted(ideal.indices)
@@ -691,7 +661,8 @@ def _check_rm1(ring, caps):
     for ideal in _ideals(make_zmod(n), caps):
         for d in _divisors(m):
             try:
-                lifted = _idealization_ideal(ring, ideal, d)
+                pairs = _members_where(ring, lambda t: t[0] in ideal and t[1] % d == 0)
+                lifted = Ideal.from_members(ring, pairs)
             except NotAnIdeal:
                 # the pair set is only an ideal when ideal * module lands
                 # inside the submodule; other pairs carry no claim
@@ -730,9 +701,13 @@ def _check_morita_proj(ring, caps):
     ring_a, ring_b = make_zmod(a), make_zmod(b)
     ideals = _ideals(ring, caps)
     known = {ideal.mask for ideal in ideals}
+
+    def block_members(*blocks) -> List[int]:
+        return _members_where(ring, lambda t: all(map(contains, blocks, t)))
+
     for ideal in ideals:
         a1, b1, m1, n1 = _morita_projections(ring, ideal)
-        block = _morita_block_members(ring, a1, b1, m1, n1)
+        block = block_members(a1, b1, m1, n1)
         if tuple(block) != ideal.indices:
             yield _w(ring, "ideal is not the block set of its projections", ideal)
         elif not (_is_ideal(ring_a, a1) and _is_ideal(ring_b, b1)):
@@ -752,7 +727,7 @@ def _check_morita_proj(ring, caps):
         b1 = set(ib.indices)
         if not _morita_containments(a, b, g, a1, b1, m1, n1):
             continue
-        members = _morita_block_members(ring, a1, b1, m1, n1)
+        members = block_members(a1, b1, m1, n1)
         try:
             block = Ideal.from_members(ring, members)
         except NilCleanError:
@@ -830,7 +805,9 @@ def _check_tri_cor(tri, caps):
         return
     ideals = _ideals(tri.structure[2], caps)
     for left, right in itertools.product(ideals, ideals):
-        lifted = _tri2_pair_ideal(tri, left, right)
+        # members (a, b, d) with a in left, d in right, middle entry free
+        pairs = _members_where(tri, lambda t: t[0] in left and t[2] in right)
+        lifted = Ideal.from_members(tri, pairs)
         lhs = is_nil_clean_ideal(left) and is_nil_clean_ideal(right)
         rhs = is_nil_clean_ideal(lifted)
         yield _iff(lhs, rhs, tri, reason, lifted)

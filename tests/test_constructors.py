@@ -365,6 +365,78 @@ def test_triangular_rows_are_permuted_to_index_order():
         assert sys.getsizeof(ring.mul_row(i)) == sys.getsizeof([0] * ring.order)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_triangular_over_a_base_whose_zero_is_not_index_0(n):
+    """Over Z2 relabelled so that index 1 is the residue 0, the zero matrix
+    is the all-ones tuple, and the ring is T_n(Z2) under that relabelling."""
+    z2 = make_table_ring([[1, 0], [0, 1]], [[0, 1], [1, 1]], zero=1, one=0)
+    ring = make_upper_triangular(z2, n)
+    k = len(TRI_POSITIONS[n])
+    assert ring.zero_i == ring.order - 1
+    assert ring.decode(ring.zero_i) == (1,) * k
+    assert verify_axioms(ring).ok
+    add, mul, neg = reference_ops(ring)
+    every = range(ring.order)
+    for i in every:
+        assert ring.add_row(i) == [add(i, j) for j in every], i
+        assert ring.mul_row(i) == [mul(i, j) for j in every], i
+        assert ring.neg_i(i) == neg(i), i
+
+
+def _slot_orders(ring) -> list:
+    kind = ring.structure[0]
+    if kind == "product":
+        return [p.order for p in ring.structure[1]]
+    if kind == "tri":
+        return [ring.structure[2].order] * len(TRI_POSITIONS[ring.structure[1]])
+    if kind == "idealization":
+        return list(ring.structure[1:])
+    _, a, b, g = ring.structure
+    return [a, b, g, g]
+
+
+def _documented_label(ring, entries) -> str:
+    kind = ring.structure[0]
+    if kind == "product":
+        return "(" + ",".join(p.label(d) for p, d in zip(ring.structure[1], entries)) + ")"
+    if kind == "tri":
+        n, base = ring.structure[1:]
+        upper = iter(map(base.label, entries))  # row-major over the upper triangle
+        zero = base.label(base.zero_i)
+        rows = [" ".join(zero if c < r else next(upper) for c in range(n)) for r in range(n)]
+        return "[" + "; ".join(rows) + "]"
+    if kind == "idealization":
+        r, v = entries
+        return f"({r},{v})"
+    r, s, m, n = entries
+    return f"[{r} {n}; {m} {s}]"
+
+
+@pytest.mark.parametrize(
+    "spec, last_label",
+    [
+        ("Z4xZ3", "(3,2)"),
+        ("Z2xT2(Z3)", "(1,[2 2; 0 2])"),
+        ("T2(Z2xZ3)", "[(1,2) (1,2); (0,0) (1,2)]"),
+        ("T3(Z2)", "[1 1 1; 0 1 1; 0 0 1]"),
+        ("Id(8,2)", "(7,1)"),
+        ("MZ(4,2,2)", "[3 1; 1 1]"),
+        ("MZ(3,6,3)", "[2 2; 2 5]"),
+    ],
+)
+def test_decode_is_mixed_radix_and_labels_follow_the_documented_format(spec, last_label):
+    ring = build(spec)
+    orders = _slot_orders(ring)
+    for i in range(ring.order):
+        digits, rest = [], i
+        for o in reversed(orders):
+            rest, d = divmod(rest, o)
+            digits.append(d)
+        assert ring.decode(i) == tuple(reversed(digits)), (spec, i)
+        assert ring.label(i) == _documented_label(ring, ring.decode(i)), (spec, i)
+    assert ring.label(ring.order - 1) == last_label
+
+
 @pytest.mark.parametrize("spec", ["T2(Z6)", "Id(16,16)", "MZ(8,8,2)"])
 def test_bilinear_rows_hold_no_spare_slots(spec):
     """Rows grown block by block are copied out at their exact length."""
