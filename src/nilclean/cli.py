@@ -15,6 +15,7 @@ no timestamps), table output is for humans.  Exit codes are a contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -357,7 +358,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on the first call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("table", "json"), default="table", help="output format"
@@ -390,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ideal.add_argument("spec")
     p_ideal.add_argument(
-        "--gens", type=int, nargs="*", default=[], help="generator element indices"
+        "--gens", type=int, nargs="*", default=(), help="generator element indices"
     )
     p_ideal.add_argument("--property", choices=IDEAL_PROPERTIES, required=True)
     p_ideal.set_defaults(fn=cmd_ideal)
@@ -406,9 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_thm = sub.add_parser(
         "theorems", parents=[common], help="run the registered checks"
     )
-    p_thm.add_argument("--ids", nargs="+", default=[], help="subset of check ids")
+    p_thm.add_argument("--ids", nargs="+", default=(), help="subset of check ids")
     p_thm.add_argument(
-        "--family", nargs="+", default=[], help="ring specs replacing the default family"
+        "--family", nargs="+", default=(), help="ring specs replacing the default family"
     )
     p_thm.add_argument(
         "--timings",

@@ -23,6 +23,7 @@ name the violations of a table that is not a ring.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -93,6 +94,12 @@ class Elem:
 ElemLike = Union[Elem, int]
 
 
+class _Table(list):
+    """A table of rows that its placeholders can refer to weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
 class LazyRow:
     """Placeholder for row `i` of the table `rows`, built by ``build(i)``.
 
@@ -100,25 +107,28 @@ class LazyRow:
     in `rows` and drops the references to `rows` and `build`, so a table
     whose rows have all been read holds only lists and nothing that the
     builder keeps alive.  Only the table holds a placeholder, so each is
-    read once: later reads of ``rows[i][j]`` hit the list directly.
+    read once: later reads of ``rows[i][j]`` hit the list directly.  The
+    placeholder refers to its table weakly, so a table dropped with rows
+    unbuilt is freed, with its builder, when its last reference goes and
+    not only by the cyclic garbage collector.
     """
 
     __slots__ = ("rows", "i", "build")
 
-    def __init__(self, rows: list, i: int, build: Callable[[int], list]):
-        self.rows = rows
+    def __init__(self, rows: _Table, i: int, build: Callable[[int], list]):
+        self.rows = weakref.ref(rows)
         self.i = i
         self.build = build
 
     @classmethod
     def table(cls, n: int, build: Callable[[int], list]) -> list:
         """A table of n unbuilt rows, row i to be built by ``build(i)``."""
-        rows: list = []
+        rows = _Table()
         rows.extend(cls(rows, i, build) for i in range(n))
         return rows
 
     def built(self) -> list:
-        row = self.rows[self.i] = self.build(self.i)
+        row = self.rows()[self.i] = self.build(self.i)
         self.rows = self.build = None
         return row
 

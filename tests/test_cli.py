@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from nilclean import make_zmod
+from nilclean import cli, make_zmod
 from nilclean.cli import main, table_json
 from nilclean.construct import MAX_SPEC_DEPTH
 
@@ -415,3 +415,32 @@ def test_json_outputs_parse_and_round_trip(capsys):
     )
     payload = json.loads(out)
     assert json.loads(json.dumps(payload, indent=2, sort_keys=True)) == payload
+
+
+# Requests whose results must not depend on what ran before them in the
+# process: the parser is built once and shared by every call of main.
+MIXED_REQUESTS = (
+    ("ideal", "Z12", "--gens", "4", "--property", "nil-clean", "--format", "json"),
+    ("ideal", "Z12", "--property", "nil-clean", "--format", "json"),
+    ("decompose", "Z6", "two", "clean"),
+    ("info", "Zx"),
+    ("--help",),
+    ("ideal", "--help"),
+    ("info", "T2(Z2)", "--format", "json"),
+    ("theorems", "--ids", "L1"),
+    ("theorems", "--ids", "L1", "nope"),
+    ("decompose", "Z6", "2", "clean"),
+)
+
+
+def test_requests_give_the_same_result_in_any_order_in_one_process(capsys):
+    first = {}
+    for argv in MIXED_REQUESTS:
+        cli._build_parser.cache_clear()
+        first[argv] = run_cli(capsys, *argv)
+    assert {code for code, _, _ in first.values()} == {0, 1, 2}
+    assert json.loads(first[MIXED_REQUESTS[1]][1])["ideal"]["members"] == [0]
+    cli._build_parser.cache_clear()
+    for sequence in (MIXED_REQUESTS, MIXED_REQUESTS[::-1]):
+        for argv in sequence:
+            assert run_cli(capsys, *argv) == first[argv], argv

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -282,7 +283,15 @@ TABLE_SPECS = (
 )
 
 
-@pytest.mark.parametrize("spec", TABLE_SPECS)
+def _relabelled_z2():
+    """Z2 as a table ring whose index 1 is the residue 0."""
+    return make_table_ring([[1, 0], [0, 1]], [[0, 1], [1, 1]], zero=1, one=0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    TABLE_SPECS + (pytest.param(make_product([_relabelled_z2(), make_zmod(3)]), id="Z2'xZ3"),),
+)
 def test_tables_match_per_entry_closures(spec):
     """The row builders agree entry for entry with the per-entry reference
     computed from each constructor's definition."""
@@ -310,6 +319,18 @@ def test_tables_above_order_1024_match_the_reference(spec):
         assert ring.add_row(i) == [add(i, j) for j in every], i
         assert ring.mul_row(i) == [mul(i, j) for j in every], i
     assert [ring.neg_i(i) for i in every] == [neg(i) for i in every]
+
+
+@pytest.mark.parametrize("spec", ["Id(32,16)", "Z2xZ256", "T2(Z8)", "Z4xZ2xZ64"])
+def test_direct_sum_entries_share_one_int_per_index(spec):
+    """Every add and mul entry is the int object the identity row holds for
+    its value, so tables of n^2 entries hold n int objects."""
+    ring = build(spec)
+    assert ring.order > 256
+    ints = ring.add_row(ring.zero_i)
+    for table in (ring.add_row, ring.mul_row):
+        for i in range(ring.order):
+            assert all(x is ints[x] for x in table(i)), (table.__name__, i)
 
 
 def _divisors(n):
@@ -369,8 +390,7 @@ def test_triangular_rows_are_permuted_to_index_order():
 def test_triangular_over_a_base_whose_zero_is_not_index_0(n):
     """Over Z2 relabelled so that index 1 is the residue 0, the zero matrix
     is the all-ones tuple, and the ring is T_n(Z2) under that relabelling."""
-    z2 = make_table_ring([[1, 0], [0, 1]], [[0, 1], [1, 1]], zero=1, one=0)
-    ring = make_upper_triangular(z2, n)
+    ring = make_upper_triangular(_relabelled_z2(), n)
     k = len(TRI_POSITIONS[n])
     assert ring.zero_i == ring.order - 1
     assert ring.decode(ring.zero_i) == (1,) * k
@@ -499,6 +519,21 @@ def test_zmod_filled_tables_drop_their_row_builders():
         ring.mul_i(i, 0)
     assert all(type(row) is list for row in ring._add_rows + ring._mul_rows)
     assert [b() for b in builders] == [None, None]
+
+
+def test_zmod_dropped_with_unbuilt_rows_frees_its_builders_at_once():
+    """A table refers to its placeholders and they to it only weakly, so the
+    ring and its row builders go with the last reference, without the
+    cyclic garbage collector."""
+    gc.disable()
+    try:
+        ring = make_zmod(1024)
+        builders = [weakref.ref(ring._add_rows[0].build), weakref.ref(ring._mul_rows[0].build)]
+        assert ring.add_i(2, 3) == 5 and ring.mul_i(2, 3) == 6
+        del ring
+        assert [b() for b in builders] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_negatives_are_scanned_from_unbuilt_rows():
