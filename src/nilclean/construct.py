@@ -260,12 +260,14 @@ def parse_ring_spec(text: str) -> RingSpec:
 # and ``_direct_sum`` alone knows how their tuples are indexed; each of those
 # constructors names its slots, its product and its label format.  Their
 # additive groups are componentwise, assembled from row blocks: one ``map``
-# per block of the last slot, slice copies above it.  The multiplication of
-# a product is componentwise too; that of T_n, Id and MZ is spanned from the
-# products of additive generators, with no Python work per entry
-# (``_bilinear_rows``).  Quotients and corners are induced from the parent's
-# rows.  Entries are entries of other tables or looked up in one shared
-# ``ints = list(range(order))``, so equal entries share one int object.
+# per block of the last slot and slice copies above it, except on a slot
+# whose table is a rotation table (Z_n), where each row is a slice of the
+# row of slot value 0 written twice over.  The multiplication of a product
+# is componentwise too; that of T_n, Id and MZ is spanned from the products
+# of additive generators, with no Python work per entry (``_bilinear_rows``).
+# Quotients and corners are induced from the parent's rows.  Entries are
+# entries of other tables or looked up in one shared ``ints =
+# list(range(order))``, so equal entries share one int object.
 
 
 def _radix_sum(vectors, ints) -> list:
@@ -280,6 +282,14 @@ def _radix_sum(vectors, ints) -> list:
         acc = [a + v for a in acc for v in vec]
     last = vectors[-1]
     return [ints[a + v] for a in acc for v in last]
+
+
+def _is_rotation(table) -> bool:
+    """Whether ``table[a][b] == table[0][(a + b) % o]`` for all a, b: every
+    row is row 0 rotated left by its index, as in the add table of Z_n."""
+    o = len(table)
+    twice = table[0] * 2
+    return all(row == twice[a : a + o] for a, row in enumerate(table))
 
 
 def _direct_sum(spec, structure, slots, zero, one, mul, labeler) -> FiniteRing:
@@ -306,10 +316,20 @@ def _direct_sum(spec, structure, slots, zero, one, mul, labeler) -> FiniteRing:
     then ``(m*o_t + T_t[a][b])*s_t`` plus entry j of that row unshifted, as
     the mixed radix asks.  So the last slot's rows are cut, once per shift,
     from a window of `ints` with one ``map``, and every higher row is a run
-    of slice copies into a row allocated at full length: n*o_k of the n^2
-    entries take Python work each, and the rest are copied.  Each row below
-    is listed with all its shifts, read by the o_t rows above that use it
-    and dropped, so the blocks held at once are about n entries per level.
+    of o_t slice copies into a row allocated at full length.  Each level
+    lists n rows counted with their shifts, so this block path costs n*o_t
+    slice copies at level t, and n*o_k entries of Python work at the last.
+
+    When ``T_t`` is a rotation table (``_is_rotation``; the add table of
+    Z_n is one), the blocks of row ``(a, r)`` are those of row ``(0, r)``
+    rotated left by a, so that row is row ``(0, r)`` at the same shift
+    rotated left by ``a*s_t`` entries: one slice of row ``(0, r)`` written
+    twice over.  Only the n/o_t rows ``(0, r)`` are assembled from blocks
+    (from a mapped window of row 0 at the last level, as ``T_t[0]`` need not
+    be the identity), so such a level costs about 2n slice copies, and n
+    entries of Python work at the last.  Each row below is listed with all
+    its shifts, read by the o_t rows above that use it and dropped, so the
+    blocks held at once are about n entries per level.
     """
     adds, negs = zip(*slots)
     orders = [len(t) for t in adds]
@@ -324,24 +344,41 @@ def _direct_sum(spec, structure, slots, zero, one, mul, labeler) -> FiniteRing:
     def shifted(tables, t, copies, top=None):
         # pairs (r, blocks): blocks[m] is row r of the table on slots t..,
         # shifted by m, for each m < copies; above the last slot, `top`
-        # holds the rows to fill in place of new ones (t = 0, copies = 1)
+        # holds the rows to fill in place of new ones, or to replace with
+        # rotated ones (t = 0, copies = 1)
         table = tables[t]
         o = len(table)
+        cyclic = _is_rotation(table)
         if t == len(tables) - 1:
             windows = [ints[m * o : m * o + o].__getitem__ for m in range(copies)]
+            if cyclic:  # row r is row 0 rotated left by r
+                heads = [list(map(w, table[0])) * 2 for w in windows]
+                for r in range(o):
+                    yield r, [head[r : r + o] for head in heads]
+                return
             for r, row in enumerate(table):
                 yield r, [list(map(w, row)) for w in windows]
             return
         width = strides[t]
+        length = o * width
         spans = [(b * width, b * width + width) for b in range(o)]
         for r, below in shifted(tables, t + 1, copies * o):
             for a, row in enumerate(table):
+                if cyclic and a:  # row (0, r) rotated left by a*width
+                    k = a * width
+                    blocks = [head[k : k + length] for head in heads]
+                    if top is not None:
+                        top[k + r] = blocks[0]
+                    yield k + r, blocks
+                    continue
                 blocks = []
                 for m in range(0, copies * o, o):
-                    placed = ints[:1] * (o * width) if top is None else top[a * width + r]
+                    placed = ints[:1] * length if top is None else top[a * width + r]
                     for (lo, hi), c in zip(spans, row):
                         placed[lo:hi] = below[m + c]
                     blocks.append(placed)
+                if cyclic:  # a = 0: each shift of row (0, r), twice over
+                    heads = [head * 2 for head in blocks]
                 yield a * width + r, blocks
 
     def componentwise(tables) -> list:

@@ -22,7 +22,7 @@ from .errors import (
     NotAlmostIdempotent,
     PreconditionViolated,
 )
-from .ideals import Ideal, is_nil_ideal
+from .ideals import Ideal, _mask_of_flags, is_nil_ideal
 from .ring import Elem, ElemLike, FiniteRing
 
 NIL_CLEAN = "nil-clean"
@@ -149,11 +149,19 @@ def strongly_filter(decompositions: List[Decomposition]) -> List[Decomposition]:
 
 
 def _every_member(ideal: Ideal, kind: str, strong: bool = False, unique: bool = False) -> bool:
-    """Every member has a decomposition of the kind (exactly one if unique)."""
-    lists = _admissible(ideal.ring, kind, strong)
-    if unique:
-        return all(len(lists[x]) == 1 for x in ideal.indices)
-    return all(lists[x] for x in ideal.indices)
+    """Every member has a decomposition of the kind (exactly one if unique):
+    one test against the mask of the ring's elements that have, kept on the
+    ring."""
+    ring = ideal.ring
+
+    def fill():
+        lists = _admissible(ring, kind, strong)
+        if unique:
+            return _mask_of_flags(bytearray(len(es) == 1 for es in lists))
+        return _mask_of_flags(bytearray(map(bool, lists)))
+
+    good = ring.cached(("every_member", kind, strong, unique), fill)
+    return ideal.mask & ~good == 0
 
 
 def is_clean_ideal(ideal: Ideal) -> bool:

@@ -168,6 +168,8 @@ class Ideal:
         return cls(ring, mask, generators=generators)
 
     def __contains__(self, x: ElemLike) -> bool:
+        if type(x) is int and 0 <= x < self.ring.order:
+            return self.mask >> x & 1 == 1
         return self.mask >> self.ring.index_of(x) & 1 == 1
 
     def __len__(self) -> int:

@@ -257,3 +257,11 @@ def naive_center(ring) -> frozenset:
         for i in range(ring.order)
         if all(mul(i, r) == mul(r, i) for r in range(ring.order))
     )
+
+
+def every_member_loop(ideal, lists, unique: bool = False) -> bool:
+    """Whether every member of the ideal has a nonempty list in `lists`
+    (exactly one entry if unique), member by member."""
+    if unique:
+        return all(len(lists[x]) == 1 for x in ideal.indices)
+    return all(lists[x] for x in ideal.indices)

@@ -37,7 +37,7 @@ from nilclean import (
     units,
     verify_axioms,
 )
-from nilclean.construct import DEFAULT_ORDER_CAP, TRI_POSITIONS
+from nilclean.construct import DEFAULT_ORDER_CAP, TRI_POSITIONS, _is_rotation
 
 from oracles import reference_ops, tri_mat_mul
 
@@ -290,7 +290,17 @@ def _relabelled_z2():
 
 @pytest.mark.parametrize(
     "spec",
-    TABLE_SPECS + (pytest.param(make_product([_relabelled_z2(), make_zmod(3)]), id="Z2'xZ3"),),
+    TABLE_SPECS
+    + (
+        pytest.param(make_product([_relabelled_z2(), make_zmod(3)]), id="Z2'xZ3"),
+        # wide rotation levels (cyclic slots) over thin ones
+        "Z64xZ2",
+        "Z27xZ2xZ3",
+        # a rotation table whose row 0 is not the identity, as the last slot
+        pytest.param(make_product([make_zmod(3), _relabelled_z2()]), id="Z3xZ2'"),
+        # slots whose add table is not a rotation table
+        "T2(Z2xZ2)",
+    ),
 )
 def test_tables_match_per_entry_closures(spec):
     """The row builders agree entry for entry with the per-entry reference
@@ -304,6 +314,36 @@ def test_tables_match_per_entry_closures(spec):
     assert [ring.neg_i(i) for i in every] == [neg(i) for i in every]
     assert ring.add_row(ring.zero_i) == list(every)
     assert ring.mul_row(ring.one_i) == list(every)
+
+
+def _rows(row_of, ring) -> list:
+    return [row_of(ring, i) for i in range(ring.order)]
+
+
+def _relabelled_z4():
+    """Z4 as a table ring whose index 2 is the residue 3: cyclic, but its
+    rows are not rotations of row 0."""
+    value = [0, 1, 3, 2]
+    index = {v: i for i, v in enumerate(value)}
+    return make_table_ring(
+        [[index[(a + b) % 4] for b in value] for a in value],
+        [[index[(a * b) % 4] for b in value] for a in value],
+        0,
+        1,
+    )
+
+
+def test_rotation_tables_are_told_apart():
+    """The direct-sum assembly rotates rows only over a slot table whose row
+    a is row 0 rotated left by a."""
+    add, mul = FiniteRing.add_row, FiniteRing.mul_row
+    for ring in (make_zmod(2), make_zmod(12), _relabelled_z2(), build("Q(Z12;[4])")):
+        assert _is_rotation(_rows(add, ring)), ring.spec
+    for row_of, ring in (
+        (add, build("Z2xZ2")), (add, build("T2(Z2)")), (add, _relabelled_z4()),
+        (mul, make_zmod(12)), (mul, _relabelled_z2()),
+    ):
+        assert not _is_rotation(_rows(row_of, ring)), ring.spec
 
 
 @pytest.mark.parametrize("spec", ["T2(Z11)", "Id(64,32)", "MZ(16,8,4)"])
@@ -321,7 +361,7 @@ def test_tables_above_order_1024_match_the_reference(spec):
     assert [ring.neg_i(i) for i in every] == [neg(i) for i in every]
 
 
-@pytest.mark.parametrize("spec", ["Id(32,16)", "Z2xZ256", "T2(Z8)", "Z4xZ2xZ64"])
+@pytest.mark.parametrize("spec", ["Id(32,16)", "Z2xZ256", "T2(Z8)", "Z4xZ2xZ64", "Z128xZ4"])
 def test_direct_sum_entries_share_one_int_per_index(spec):
     """Every add and mul entry is the int object the identity row holds for
     its value, so tables of n^2 entries hold n int objects."""
@@ -370,15 +410,7 @@ def test_bilinear_tables_match_the_reference_on_drawn_parameters(spec):
 def test_triangular_rows_are_permuted_to_index_order():
     """Over Z4 relabelled so that index 2 is the residue 3, the additive span
     lists the elements out of index order, and the rows are put back in it."""
-    value = [0, 1, 3, 2]
-    index = {v: i for i, v in enumerate(value)}
-    z4 = make_table_ring(
-        [[index[(a + b) % 4] for b in value] for a in value],
-        [[index[(a * b) % 4] for b in value] for a in value],
-        0,
-        1,
-    )
-    ring = make_upper_triangular(z4, 2)
+    ring = make_upper_triangular(_relabelled_z4(), 2)
     _, mul, _ = reference_ops(ring)
     every = range(ring.order)
     for i in every:

@@ -29,9 +29,9 @@ from nilclean import (
     zero_ideal,
 )
 
-from nilclean.decompose import _admissible
+from nilclean.decompose import _admissible, _every_member
 
-from oracles import brute_pairs
+from oracles import brute_pairs, every_member_loop
 
 KINDS = ("nil-clean", "clean")
 
@@ -109,6 +109,24 @@ def test_ideal_predicates_match_brute_pairs(differential_rings):
             }
             for predicate, want in expected.items():
                 assert predicate(ideal) == want, (ring.spec, predicate.__name__, members)
+
+
+def test_member_masks_match_the_member_loop(family_rings):
+    """The per-ring mask of elements with a decomposition decides each ideal
+    as the member-by-member loop does, for every kind, strong and unique."""
+    seen = Counter()
+    for ring in family_rings:
+        for ideal in all_ideals(ring):
+            for kind in KINDS:
+                for strong in (False, True):
+                    lists = _admissible(ring, kind, strong)
+                    for unique in (False, True):
+                        want = every_member_loop(ideal, lists, unique)
+                        assert _every_member(ideal, kind, strong, unique) == want, (
+                            ring.spec, kind, strong, unique, ideal.indices,
+                        )
+                        seen[want] += 1
+    assert seen[True] and seen[False]
 
 
 def test_decompositions_self_verify(small_family_rings):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nilclean import (
+    BadParameter,
     CapExceeded,
     Ideal,
     NotAnIdeal,
@@ -24,6 +25,20 @@ from nilclean import (
 from nilclean.ideals import verify_ideal
 
 from oracles import divisors, naive_nil_index
+
+
+def test_ideal_contains_an_index_or_an_element():
+    """An in-range index is read off the mask; anything else goes through
+    the ring's index check."""
+    ring = make_zmod(12)
+    ideal = ideal_generated(ring, [4])
+    assert [i for i in range(12) if i in ideal] == [0, 4, 8]
+    assert ring.elem(8) in ideal and ring.elem(6) not in ideal
+    assert True not in ideal and False in ideal
+    with pytest.raises(BadParameter):
+        12 in ideal
+    with pytest.raises(BadParameter):
+        -1 in ideal
 
 
 def test_generated_examples():
