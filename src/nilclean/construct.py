@@ -22,7 +22,7 @@ membership sets and tables stay uniform across families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd, prod
 from operator import itemgetter
@@ -689,8 +689,11 @@ def make_quotient(ring: FiniteRing, ideal) -> tuple:
 
     Memoized on the parent ring keyed by the ideal's membership mask, so
     repeated quotients by the same ideal share one object.  The ideal is not
-    re-verified: an ``Ideal`` is verified when it is made, or built by an
-    ``ideals`` function whose result is an ideal by construction.
+    re-verified: an ``Ideal`` is verified when it is made from outside, or
+    built by an ``ideals`` function whose result is an ideal by proof.  The
+    map sends x to its coset and the quotient's tables are the coset sums
+    and products, so it is a surjective ring homomorphism; that is what lets
+    ``ideals.image_ideal`` build images without verifying them.
     """
     if ideal.ring is not ring:
         raise BadParameter("ideal belongs to a different ring")
@@ -732,28 +735,19 @@ def make_quotient(ring: FiniteRing, ideal) -> tuple:
 
 @dataclass(frozen=True)
 class CornerEmbedding:
-    """Embedding of a corner ring eRe back into its parent."""
+    """Embedding of a corner ring eRe back into its parent.
+
+    ``corner_index[i]`` is the corner index of parent element i, -1 for an
+    i outside eRe; it is derived from ``parent_index``.
+    """
 
     domain: FiniteRing
     codomain: FiniteRing
     parent_index: tuple
+    corner_index: tuple = field(compare=False, repr=False)
 
     def __call__(self, x) -> Elem:
         return self.codomain.elem(self.parent_index[self.domain.index_of(x)])
-
-    def to_corner_index(self, i: int) -> int:
-        # parent_index is ascending, so membership is a binary-search away;
-        # corners are small enough that a dict would be overkill.
-        lo, hi = 0, len(self.parent_index)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.parent_index[mid] < i:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.parent_index) or self.parent_index[lo] != i:
-            raise BadParameter(f"index {i} is not inside the corner")
-        return lo
 
 
 def make_corner(ring: FiniteRing, e) -> tuple:
@@ -768,8 +762,11 @@ def make_corner(ring: FiniteRing, e) -> tuple:
         )
 
     def build():
-        members = sorted({ring.mul_i(ring.mul_i(e_i, x), e_i) for x in range(ring.order)})
-        sub = {x: t for t, x in enumerate(members)}
+        # e is central, so e*x*e = e*x and eRe is the set of e's row
+        members = sorted(set(ring.mul_row(e_i)))
+        sub = [-1] * ring.order
+        for t, x in enumerate(members):
+            sub[x] = t
         cadd, cmul, cneg = _induced_tables(ring, members, sub)
         corner = FiniteRing(
             order=len(members),
@@ -783,7 +780,7 @@ def make_corner(ring: FiniteRing, e) -> tuple:
             decode=lambda i: members[i],
             labeler=lambda i: ring.label(members[i]),
         )
-        return corner, CornerEmbedding(corner, ring, tuple(members))
+        return corner, CornerEmbedding(corner, ring, tuple(members), tuple(sub))
 
     return ring.cached(("corner", e_i), build)
 

@@ -19,6 +19,13 @@ the multiplication tables of ``construct._bilinear_rows``:
   of that span: O(|I| + k*log2|I|), against O(|I|^2 + |I|*n) pairwise;
 - sums span one ideal's members over the other, products span the products
   of the two ideals' additive generators.
+
+Only masks from outside are verified (``Ideal(ring, mask)``,
+``Ideal.from_members``).  What this module builds is an ideal by proof, and
+each builder's docstring gives the argument: generated ideals and their
+sums, products and intersections, images under a quotient map, and corners
+eIe for a central idempotent e.  An ideal's member tuple is listed on first
+read; size, zero and properness are read off the mask.
 """
 
 from __future__ import annotations
@@ -146,6 +153,8 @@ def verify_ideal(ring: FiniteRing, mask: int) -> None:
 class Ideal:
     """An immutable two-sided ideal of one specific ring."""
 
+    # `indices`, the ascending member tuple, is left unset until its first
+    # read fills it (__getattr__): many ideals are only ever tested by mask
     __slots__ = ("ring", "mask", "indices", "generators")
 
     def __init__(
@@ -159,8 +168,14 @@ class Ideal:
             verify_ideal(ring, mask)
         self.ring = ring
         self.mask = mask
-        self.indices = indices_of(mask)
         self.generators = generators
+
+    def __getattr__(self, name):
+        # reached only when ordinary lookup fails, so once per ideal here
+        if name != "indices":
+            raise AttributeError(name)
+        self.indices = indices = indices_of(self.mask)
+        return indices
 
     @classmethod
     def from_members(cls, ring: FiniteRing, members: Iterable[ElemLike], generators=None) -> "Ideal":
@@ -173,7 +188,7 @@ class Ideal:
         return self.mask >> self.ring.index_of(x) & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.mask.bit_count()
 
     def __eq__(self, other):
         return (
@@ -187,11 +202,11 @@ class Ideal:
 
     @property
     def is_zero(self) -> bool:
-        return self.indices == (self.ring.zero_i,)
+        return self.mask == 1 << self.ring.zero_i
 
     @property
     def is_proper(self) -> bool:
-        return len(self.indices) < self.ring.order
+        return self.mask.bit_count() < self.ring.order
 
     def to_json(self) -> dict:
         return {"ring": self.ring.spec, "members": list(self.indices)}
@@ -214,13 +229,15 @@ def ideal_generated(ring: FiniteRing, gens: Iterable[ElemLike]) -> Ideal:
     The additive span of the products a*g*b, for a and b in the additive
     basis: r*(a*g*b) is a sum of terms a'*g*b because r*a is a sum of basis
     elements, so the span absorbs multiplication on both sides, and it holds
-    g = 1*g*1.
+    g = 1*g*1.  So the span is an ideal, built without verification.
     """
     gen_idx = tuple(sorted({ring.index_of(g) for g in gens}))
-    return Ideal(ring, _generated_mask(ring, gen_idx), generators=gen_idx)
+    mask = _generated(ring, gen_idx)[0]
+    return Ideal(ring, mask, generators=gen_idx, verify=False)
 
 
-def _generated_mask(ring: FiniteRing, gen_idx: Iterable[int]) -> int:
+def _generated(ring: FiniteRing, gen_idx: Iterable[int]):
+    """The generated ideal's mask and the additive generators that span it."""
     basis = additive_basis(ring)
     mul = ring.mul_i
     products = []
@@ -228,7 +245,8 @@ def _generated_mask(ring: FiniteRing, gen_idx: Iterable[int]) -> int:
         for a in basis:
             row = ring.mul_row(mul(a, g))
             products.extend(row[b] for b in basis)
-    return _grow(ring, products)[0]
+    mask, _, kept = _grow(ring, products)
+    return mask, kept
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
@@ -242,17 +260,14 @@ def unit_ideal(ring: FiniteRing) -> Ideal:
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    """Setwise sum; the sum of two additive subgroups is already a subgroup."""
+    """Setwise sum; the sum of two additive subgroups is already a subgroup,
+    and r*(x + y) = r*x + r*y keeps it absorbing on both sides."""
     ring = _require_same_ring(a, b)
-    mask = _sum_masks(ring, a.mask, b.mask)
+    mask = _span(ring.add_row, ring.order, a.indices, b.indices)[0]
     gens = None
     if a.generators is not None and b.generators is not None:
         gens = tuple(sorted(set(a.generators) | set(b.generators)))
     return Ideal(ring, mask, generators=gens, verify=False)
-
-
-def _sum_masks(ring: FiniteRing, am: int, bm: int) -> int:
-    return _span(ring.add_row, ring.order, indices_of(am), indices_of(bm))[0]
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -272,6 +287,7 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 
 
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
+    """The meet; an intersection of ideals is an ideal."""
     ring = _require_same_ring(a, b)
     return Ideal(ring, a.mask & b.mask, verify=False)
 
@@ -281,6 +297,8 @@ def all_ideals(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> List[Ideal]:
 
     Every ideal is a finite sum of principal ideals, so closing the set of
     principal ideals under "add one principal ideal" reaches all of them.
+    Each principal ideal is a generated ideal (see ``ideal_generated``) and
+    a sum of ideals is an ideal, so nothing in the pool is verified.
     """
 
     def fill():
@@ -288,26 +306,28 @@ def all_ideals(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> List[Ideal]:
         # of the units is spanned once, from its least element
         unit_rows = [ring.mul_row(u) for u in units(ring)]
         done = bytearray(ring.order)
-        principal = {}
+        principal, kept = {}, {}
         for g in range(ring.order):
             if done[g]:
                 continue
             for row in unit_rows:
                 done[row[g]] = 1
-            mask = _generated_mask(ring, (g,))
+            mask, spanning = _generated(ring, (g,))
             if mask not in principal:
-                verify_ideal(ring, mask)
                 principal[mask] = (g,)
+                kept[mask] = spanning
         if len(principal) > cap:
             raise CapExceeded(f"{ring.spec}: more than {cap} ideals")
         pool = dict(principal)
         queue = list(principal)
         while queue:
             current = queue.pop()
+            members = indices_of(current)
             for pmask in principal:
                 if pmask & ~current == 0:
                     continue
-                union = _sum_masks(ring, current, pmask)
+                # a principal ideal is the additive span of its kept generators
+                union = _span(ring.add_row, ring.order, members, kept[pmask])[0]
                 if union not in pool:
                     if len(pool) >= cap:
                         raise CapExceeded(
@@ -333,31 +353,38 @@ def is_nil_ideal(ideal: Ideal) -> bool:
 
 
 def image_ideal(projection, ideal: Ideal) -> Ideal:
-    """Push an ideal through a quotient projection; re-verified as an ideal.
+    """Push an ideal through a quotient projection p: R -> R/K.
 
-    Memoized on the quotient, keyed by the ideal's mask, so an image is
-    computed and verified once per (quotient, ideal).
+    p is a surjective ring homomorphism, so p(I) is an ideal: it is an
+    additive subgroup as the image of one, and for s = p(r) in R/K and
+    p(x) in p(I), s*p(x) = p(r*x) and p(x)*s = p(x*r) lie in p(I).  The
+    image is built without verification.  Memoized on the quotient, keyed
+    by the ideal's mask, so an image is computed once per (quotient, ideal).
     """
     if ideal.ring is not projection.domain:
         raise ElementRingMismatch("ideal does not live in the projection's domain")
 
     def image():
-        mask = mask_of(projection.image_index(i) for i in ideal.indices)
-        return Ideal(projection.codomain, mask)
+        mask = mask_of(map(projection.index_map.__getitem__, ideal.indices))
+        return Ideal(projection.codomain, mask, verify=False)
 
     return projection.codomain.cached(("image", ideal.mask), image)
 
 
 def corner_ideal(ring: FiniteRing, e: ElemLike, ideal: Ideal) -> Ideal:
-    """The set e*I*e inside the corner ring eRe, for a central idempotent e."""
+    """The set e*I*e inside the corner ring eRe, for a central idempotent e.
+
+    ``make_corner`` rejects an e that is not a central idempotent.  As e is
+    central, e*x*e = e*e*x = e*x, so eIe = eI is read off one row of e.  It is
+    an ideal of eRe: an additive subgroup as the image of I under x -> e*x,
+    and (e*r*e)(e*x*e) = e*(r*e*x)*e with r*e*x in I, likewise on the right.
+    So the result is built without verification.
+    """
     from .construct import make_corner
 
     if ideal.ring is not ring:
         raise ElementRingMismatch("ideal belongs to a different ring")
     corner, embedding = make_corner(ring, e)
-    e_i = ring.index_of(e)
-    members = set()
-    for x in ideal.indices:
-        exe = ring.mul_i(ring.mul_i(e_i, x), e_i)
-        members.add(embedding.to_corner_index(exe))
-    return Ideal(corner, mask_of(members))
+    ex = map(ring.mul_row(ring.index_of(e)).__getitem__, ideal.indices)
+    mask = mask_of(map(embedding.corner_index.__getitem__, ex))
+    return Ideal(corner, mask, verify=False)

@@ -66,6 +66,7 @@ from .ideals import (
     image_ideal,
     is_nil_ideal,
     corner_ideal,
+    mask_of,
 )
 from .ring import EXHAUSTIVE_LIMIT, FiniteRing, is_commutative, verify_axioms
 
@@ -497,19 +498,22 @@ def _check_corner(ring, caps):
         yield _iff(lhs, rhs, ring, "corner cuts disagree with nil-clean", ideal)
 
 
-def _lift_failure(ring: FiniteRing, nil: Ideal, outer: Ideal, lifted: set):
+def _lift_failure(ring: FiniteRing, nil: Ideal, outer: Ideal, todo: int):
     """Exercise the idempotent lifting the backward direction uses.
 
-    lifted holds the elements already lifted modulo nil; a failed lift
-    ends the check, so only successes are recorded.
+    todo is the mask of the x with x^2 - x in nil not lifted yet; the
+    members of outer among them are lifted in ascending order.  A failed
+    lift ends the check, so its witness is the first failure.
     """
-    for x in outer.indices:
-        if x not in lifted and ring.sub_i(ring.mul_i(x, x), x) in nil:
-            try:
-                lift_idempotent_mod_nil(ring, nil, x)
-            except NilCleanError as exc:
-                return _w(ring, f"idempotent lift failed: {exc}", outer, x)
-            lifted.add(x)
+    pending = outer.mask & todo
+    while pending:
+        low = pending & -pending  # the least member left
+        pending ^= low
+        x = low.bit_length() - 1
+        try:
+            lift_idempotent_mod_nil(ring, nil, x)
+        except NilCleanError as exc:
+            return _w(ring, f"idempotent lift failed: {exc}", outer, x)
     return None
 
 
@@ -517,17 +521,20 @@ def _lift_failure(ring: FiniteRing, nil: Ideal, outer: Ideal, lifted: set):
 def _check_lift_mod_nil(ring, caps):
     reason = "nil-clean does not transfer along the nil quotient"
     ideals = _ideals(ring, caps)
+    every = range(ring.order)
+    defects = [ring.sub_i(ring.mul_i(x, x), x) for x in every]
     for nil in (i for i in ideals if is_nil_ideal(i)):
         _, projection = make_quotient(ring, nil)
-        lifted: set = set()
+        modulo = sorted(nil.indices)
+        todo = mask_of(itertools.compress(every, map(nil.__contains__, defects)))
         for outer in ideals:
             if outer.mask & nil.mask != nil.mask:
                 continue
             lhs = is_nil_clean_ideal(outer)
             rhs = is_nil_clean_ideal(image_ideal(projection, outer))
-            modulo = sorted(nil.indices)
             witness = _iff(lhs, rhs, ring, reason, outer, modulo=modulo)
-            yield witness or _lift_failure(ring, nil, outer, lifted)
+            yield witness or _lift_failure(ring, nil, outer, todo)
+            todo &= ~outer.mask
 
 
 @_check("hom_image", "projections of nil-clean ideals are nil-clean")

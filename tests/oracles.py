@@ -265,3 +265,47 @@ def every_member_loop(ideal, lists, unique: bool = False) -> bool:
     if unique:
         return all(len(lists[x]) == 1 for x in ideal.indices)
     return all(lists[x] for x in ideal.indices)
+
+
+def image_member_walk(projection, ideal) -> int:
+    """Mask of an ideal's image in a quotient, one image per member."""
+    mask = 0
+    for i in ideal.indices:
+        mask |= 1 << projection.image_index(i)
+    return mask
+
+
+def corner_member_walk(ring, e: int, ideal, embedding) -> int:
+    """Mask of e*I*e inside the corner eRe: both products for each member,
+    then its position among the corner's parent indices."""
+    mask = 0
+    for x in ideal.indices:
+        exe = ring.mul_i(ring.mul_i(e, x), e)
+        mask |= 1 << embedding.parent_index.index(exe)
+    return mask
+
+
+def lift_mod_nil_walk(ring, ideals, lift, failure):
+    """The first failed lift of the lift_mod_nil check, by the set-based loop.
+
+    For each nil ideal (every member nilpotent by plain iteration) and each
+    ideal over it, in list order, lift every member x, ascending, with
+    x^2 - x in the nil ideal that was not lifted yet modulo that nil ideal.
+    Returns (outer ideal, x, str(error)) for the first lift that raises
+    `failure`, or None.
+    """
+    for nil in ideals:
+        if any(naive_nil_index(ring, x) is None for x in nil.indices):
+            continue
+        lifted = set()
+        for outer in ideals:
+            if outer.mask & nil.mask != nil.mask:
+                continue
+            for x in outer.indices:
+                if x not in lifted and ring.sub_i(ring.mul_i(x, x), x) in nil:
+                    try:
+                        lift(ring, nil, x)
+                    except failure as exc:
+                        return outer, x, str(exc)
+                    lifted.add(x)
+    return None

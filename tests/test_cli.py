@@ -13,6 +13,11 @@ GOLDEN_TABLE = Path(__file__).parent / "golden" / "theorems_default.txt"
 # Written once, before the per-element memos went in; never regenerated.
 GOLDEN_LARGER = Path(__file__).parent / "golden" / "theorems_larger.json"
 LARGER_FAMILY = ("T2(Z8)", "MZ(8,8,2)", "Z4xZ4xZ4")
+# Written once, before images, corners and generated ideals stopped being
+# re-verified; never regenerated.  Z2^6 has 64 ideals and 63 central
+# idempotents, so hom_image, lift_mod_nil and corner walk many pairs.
+GOLDEN_LATTICE = Path(__file__).parent / "golden" / "theorems_lattice.json"
+LATTICE_FAMILY = ("Z2xZ2xZ2xZ2xZ2xZ2", "Z6xZ10", "T2(Z6)")
 
 
 def run_cli(capsys, *argv):
@@ -406,6 +411,13 @@ def test_theorems_larger_rings_match_golden_fixture(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == GOLDEN_LARGER.read_text(encoding="utf-8")
+
+
+def test_theorems_lattice_rings_match_golden_fixture(capsys):
+    argv = ("theorems", "--format", "json", "--family", *LATTICE_FAMILY)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == GOLDEN_LATTICE.read_text(encoding="utf-8")
 
 
 def test_json_outputs_parse_and_round_trip(capsys):
