@@ -701,18 +701,17 @@ def make_quotient(ring: FiniteRing, ideal) -> tuple:
         raise BadParameter("quotient by the whole ring would be the zero ring")
 
     def build():
-        n = ring.order
         members = ideal.indices
-        rep_of = [-1] * n
+        coset = [-1] * ring.order
         reps = []
-        for x in range(n):
-            if rep_of[x] >= 0:
-                continue
-            reps.append(x)
-            for i in members:
-                rep_of[ring.add_i(x, i)] = x
-        q_index = {rep: qi for qi, rep in enumerate(reps)}
-        index_map = tuple(q_index[rep_of[x]] for x in range(n))
+        for x in range(ring.order):
+            if coset[x] < 0:
+                # x + I, read off x's add row, is the next coset
+                q = len(reps)
+                reps.append(x)
+                for y in map(ring.add_row(x).__getitem__, members):
+                    coset[y] = q
+        index_map = tuple(coset)
         qadd, qmul, qneg = _induced_tables(ring, reps, index_map)
         gens = ideal.generators if ideal.generators is not None else ideal.indices
         spec = f"Q({ring.spec};[{','.join(str(g) for g in gens)}])"

@@ -15,9 +15,12 @@ slots (classifier sets, ideal lists) whose fills are pure and idempotent.
 Questions quantified over all pairs or triples of elements are answered on
 the additive basis of ``nilclean.ideals`` (k <= log2(order) elements whose
 sums reach every element), because the maps involved are additive in each
-argument: commutativity costs k^2 lookups, and the exhaustive axiom gate
-certifies a ring in O(n^2 k) and falls back to the O(n^3) scan only to
-name the violations of a table that is not a ring.
+argument: commutativity costs k^2 lookups, and the axiom gate certifies a
+ring at any order in O(n^2 k), from one row-sized gather per row and basis
+element for each of additive associativity and left distributivity.  The
+O(n^3) scan runs only up to order 64, to name the violations of a table
+the certificate refutes; above that the certificate's own witness is the
+report.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
+from operator import getitem, itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import BadParameter, ElementRingMismatch, ExhaustiveTooLarge
@@ -424,71 +428,124 @@ def _exhaustive_axioms(ring: FiniteRing) -> list:
     return list(found.values())
 
 
-def _certified(ring: FiniteRing) -> bool:
-    """True when the tables provably satisfy every ring axiom.
+def _first_miss(got, want) -> int:
+    """The first index at which two sequences of one length differ, given
+    that they do."""
+    return next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
 
-    False only means "not certified": the exhaustive scan then decides and
-    names the violations.  B is the additive basis, k = |B| <= log2(n).
 
-    1. O(n): x + 0 = x, x + (-x) = 0, 1x = x1 = x and 0x = x0 = 0.
-    2. O(n^2): the add table equals its transpose.
-    3. The basis span (``ideals._span``) reaches every element from 0 and B
-       by sums u + w of two elements reached before.  A B longer than
-       (n-1).bit_length() is no group's and is left to the scan.
-    4. O(n^2 k): for b in B and all x, y: (x+y)+b = x+(y+b), y(x+b) =
-       yx + yb and (x+b)y = xy + by, compared as whole rows and columns.
-    5. O(k^3): (ab)c = a(bc) for a, b, c in B.
+def _certified(ring: FiniteRing) -> Optional[AxiomViolation]:
+    """None when the tables provably satisfy every ring axiom, else the first
+    law found broken, with a witness that breaks it.
 
-    Each law then holds on all of R by induction along the span, since a
-    law holding at u and at w holds at w + u = u + w.  Additive
-    associativity in z: (x+y)+(w+u) = ((x+y)+w)+u = (x+(y+w))+u =
-    x+((y+w)+u) = x+(y+(w+u)); so + is an abelian group.  Distributivity in
-    the added term likewise, from 0y = 0 = y0 at z = 0: l(x+(w+u)) =
-    l((x+w)+u) = (l(x)+l(w))+l(u) = l(x)+l(w+u).  Then (x, y, z) ->
-    (xy)z - x(yz) is additive in each argument and vanishes on B^3, so it
-    vanishes on R^3.
+    Each witness is in the order ``_exhaustive_axioms`` gives for its law.
+    B is the additive basis (``ideals.additive_basis``) in the order it was
+    kept, k = |B|.  Rows are compared whole, each gathered through one
+    ``itemgetter`` per basis translation or per row; entries are read one by
+    one only to name the witness in a row that differs.
+
+    1. O(n): x + 0 = x, 0 + x = x (else ``add_comm`` at (0, x)),
+       x + (-x) = 0 and 1x = x1 = x.
+    2. O(n^2 k): middle associativity, x + (b + v) = (x + b) + v for b in B
+       and all x, v: row x gathered through row b is row x + b.
+    3. O(nk): commutativity from B, b + x = x + b: column b is row b.
+       Steps 2 and 3 take the generators one at a time, in order.
+    4. O(n^2 k): left distributivity, y(b + x) = yb + yx for every row y
+       and b in B.
+    5. O(n k^2): right distributivity on basis columns, (x + b)c = xc + bc
+       for b, c in B and all x.
+    6. O(k^3): (ab)c = a(bc) for a, b, c in B.
+
+    Each law then holds on all of R by induction: ``_span`` lists every
+    element as a sum of kept generators, so a set holding B that is closed
+    under + is R.
+
+    Addition.  Write L_a(v) = a + v.  The g with x + (g + v) = (x + g) + v
+    for all x, v, that is L_x L_g = L_(x+g), hold 0 (step 1) and are closed
+    under +: L_x L_(u+w) = L_x L_u L_w = L_(x+u) L_w = L_((x+u)+w), which
+    at 0 says (x+u)+w = x+(u+w), so L_x L_(u+w) = L_(x+(u+w)).  Step 2 puts
+    B among them, so + is associative, and with 0 and the negatives of step
+    1, (R, +) is a group.  The elements commuting with every x hold 0 and B
+    (step 3) and are closed under +, so the group is abelian.
+
+    Bounded work on a table that is no group.  Let L = (n-1).bit_length().
+    If steps 2 and 3 held at the first L kept generators, the g above
+    would form a group G: each g has a multiple e = qg with e + e = e, and
+    e = e + (e + (-e)) = (e + e) + (-e) = 0, so (q-1)g is its inverse.
+    Each generator commutes with all of G, and the span listed before it is
+    a subgroup, so ``_span`` lists the subgroup the two generate, at least
+    twice the elements, without repeats.  After L generators that is at
+    least 2^L >= n elements, all of R, and no further generator is kept.
+    So steps 2 and 3 refute a table that is no abelian group within its
+    first L generators, in O(n^2 log n) work.
+
+    Multiplication.  The w with y(w + x) = yw + yx for all x, y hold B
+    (step 4) and are closed under +: y((u+w)+x) = yu + (yw + yx) =
+    y(u+w) + yx.  So left distributivity holds on R, and with it y0 = 0.
+    Each z -> az is then additive, hence so is z -> (x+w)z - xz - wz; it
+    vanishes on R once it vanishes on B, so step 5 gives (x + b)z = xz + bz
+    for b in B and every z, and the w with (x + w)z = xz + wz for all x, z
+    are closed under + as above; with 0x = (0 + 0)x = 0x + 0x, 0x = 0.  Both
+    laws make (x, y, z) -> (xy)z - x(yz) additive in each argument, and it
+    vanishes on B^3 (step 6), so on R^3.
     """
     from .ideals import additive_basis
 
     n = ring.order
     ids = list(range(n))
-    add = [ring.add_row(i) for i in ids]
-    mul = [ring.mul_row(i) for i in ids]
+    add = list(map(ring.add_row, ids))
+    mul = list(map(ring.mul_row, ids))
     zero, one = ring.zero_i, ring.one_i
-    zeros = [zero] * n
-    if (
-        [row[zero] for row in add] != ids
-        or any(add[i][ring.neg_i(i)] != zero for i in ids)
-        or mul[one] != ids
-        or [row[one] for row in mul] != ids
-        or mul[zero] != zeros
-        or [row[zero] for row in mul] != zeros
-    ):
-        return False
-    if [list(col) for col in zip(*add)] != add:
-        return False
+
+    col = list(map(itemgetter(zero), add))
+    if col != ids:
+        return AxiomViolation("add_zero", (_first_miss(col, ids),))
+    if add[zero] != ids:
+        return AxiomViolation("add_comm", (zero, _first_miss(add[zero], ids)))
+    sums, zeros = list(map(getitem, add, map(ring.neg_i, ids))), [zero] * n
+    if sums != zeros:
+        return AxiomViolation("add_inverse", (_first_miss(sums, zeros),))
+    col = list(map(itemgetter(one), mul))
+    if col != ids or mul[one] != ids:
+        x = next(x for x in ids if col[x] != x or mul[one][x] != x)
+        return AxiomViolation("mul_one", (x,))
+
     basis = additive_basis(ring)
-    if len(basis) > (n - 1).bit_length():
-        return False
-    # each row x -> yx and each column x -> xy of the mul table
-    lines = mul + [list(col) for col in zip(*mul)]
+    # through[b] gathers a row at b + v for every v: row x of add becomes
+    # v -> x + (b + v), row y of mul becomes x -> y(b + x)
+    through = []
     for b in basis:
-        ab = add[b]
-        for ax in add:
-            # translation by b commutes with every translation
-            if [ab[v] for v in ax] != [ax[v] for v in ab]:
-                return False
-        for line in lines:
-            # line(x + b) = line(x) + line(b)
-            shift = add[line[b]]
-            if [line[v] for v in ab] != [shift[v] for v in line]:
-                return False
-    return all(
-        mul[mul[a][b]][c] == mul[a][mul[b][c]]
-        for a in basis
-        for b in basis
-        for c in basis
-    )
+        thru = itemgetter(*add[b])
+        through.append(thru)
+        col = list(map(itemgetter(b), add))
+        for x, row in enumerate(add):
+            got, want = thru(row), add[col[x]]
+            if got != tuple(want):
+                return AxiomViolation("add_assoc", (x, b, _first_miss(got, want)))
+        if col != add[b]:
+            return AxiomViolation("add_comm", (b, _first_miss(add[b], col)))
+
+    for y, row in enumerate(mul):
+        by_row = itemgetter(*row)  # a row s -> (s[yx] for every x)
+        for b, thru in zip(basis, through):
+            got, want = thru(row), by_row(add[row[b]])
+            if got != want:
+                return AxiomViolation("left_distrib", (y, b, _first_miss(got, want)))
+    for c in basis:
+        col = list(map(itemgetter(c), mul))
+        by_col = itemgetter(*col)  # a row s -> (s[xc] for every x)
+        for b, thru in zip(basis, through):
+            # (x + b)c and, + being commutative, bc + xc for every x
+            got, want = thru(col), by_col(add[mul[b][c]])
+            if got != want:
+                return AxiomViolation("right_distrib", (_first_miss(got, want), b, c))
+    for a in basis:
+        for b in basis:
+            ab, row = mul[a][b], mul[a]
+            for c in basis:
+                if mul[ab][c] != row[mul[b][c]]:
+                    return AxiomViolation("mul_assoc", (a, b, c))
+    return None
 
 
 def _sampled_axioms(ring: FiniteRing, count: int) -> list:
@@ -524,24 +581,31 @@ def _sampled_axioms(ring: FiniteRing, count: int) -> list:
 
 
 def verify_axioms(ring: FiniteRing, mode: str = "exhaustive", count: int = 100_000) -> AxiomReport:
-    """Check the ring axioms either on all triples or on sampled ones.
+    """Check the ring axioms on every triple, or on sampled ones.
 
-    Exhaustive mode is only permitted up to order :data:`EXHAUSTIVE_LIMIT`.
-    It decides every triple: a ring is certified from its additive basis in
-    O(n^2 log n) (see ``_certified``: each law checked against the basis
-    extends to all elements by induction on sums), and only a table that
-    fails the certificate is scanned over all n^3 triples, which names the
-    first witness of each violated axiom.  Sampled mode draws `count`
-    triples from a deterministic generator so the report is reproducible
-    run to run.
+    ``"certified"`` decides every triple at any order.  A ring is certified
+    from its additive basis in O(n^2 log n) (``_certified``: each law
+    checked against the basis extends to all elements by induction on
+    sums).  A table the certificate refutes is scanned over all n^3 triples
+    up to order :data:`EXHAUSTIVE_LIMIT`, which names the first witness of
+    each violated axiom; above it, the certificate's violation, one law
+    with a witness that breaks it, is the report.  ``"exhaustive"`` is the
+    same below the limit and refuses a larger ring.  ``"sampled"`` draws
+    `count` triples from a deterministic generator so the report is
+    reproducible run to run.
     """
-    if mode == "exhaustive":
-        if ring.order > EXHAUSTIVE_LIMIT:
+    if mode in ("exhaustive", "certified"):
+        small = ring.order <= EXHAUSTIVE_LIMIT
+        if mode == "exhaustive" and not small:
             raise ExhaustiveTooLarge(
                 f"exhaustive verification capped at order {EXHAUSTIVE_LIMIT}, "
                 f"got {ring.order}"
             )
-        violations = [] if _certified(ring) else _exhaustive_axioms(ring)
+        refuted = _certified(ring)
+        if refuted is None:
+            violations = []
+        else:
+            violations = _exhaustive_axioms(ring) if small else [refuted]
         checked = ring.order ** 3
     elif mode == "sampled":
         violations = _sampled_axioms(ring, count)

@@ -68,7 +68,7 @@ from .ideals import (
     corner_ideal,
     mask_of,
 )
-from .ring import EXHAUSTIVE_LIMIT, FiniteRing, is_commutative, verify_axioms
+from .ring import FiniteRing, is_commutative, verify_axioms
 
 DEFAULT_FAMILY: Tuple[str, ...] = (
     "Z2",
@@ -894,8 +894,7 @@ def run_all(
     reports = {c: TheoremReport(c, CHECKS[c].statement, 0, 0, "vacuous") for c in running}
     for entry in family:
         ring = entry if isinstance(entry, FiniteRing) else build(entry, caps)
-        mode = "exhaustive" if ring.order <= EXHAUSTIVE_LIMIT else "sampled"
-        axioms = verify_axioms(ring, mode=mode, count=10_000)
+        axioms = verify_axioms(ring, mode="certified")
         if not axioms.ok:
             raise AxiomFailure(axioms)
         running = [c for c in running if not _advance(CHECKS[c], ring, caps, reports)]

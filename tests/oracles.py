@@ -309,3 +309,74 @@ def lift_mod_nil_walk(ring, ideals, lift, failure):
                         return outer, x, str(exc)
                     lifted.add(x)
     return None
+
+
+def all_columns_certificate(ring) -> bool:
+    """The previous axiom certificate: True when the tables provably form a
+    ring, False when it cannot tell, with every row and column compared.
+
+    1. O(n): x + 0 = x, x + (-x) = 0, 1x = x1 = x and 0x = x0 = 0.
+    2. O(n^2): the add table equals its transpose.
+    3. A basis longer than (n-1).bit_length() is no group's.
+    4. O(n^2 k): for b in B and all x, y: (x+y)+b = x+(y+b), y(x+b) =
+       yx + yb and (x+b)y = xy + by, on every row and every column.
+    5. O(k^3): (ab)c = a(bc) for a, b, c in B.
+    """
+    from nilclean.ideals import additive_basis
+
+    n = ring.order
+    ids = list(range(n))
+    add = [ring.add_row(i) for i in ids]
+    mul = [ring.mul_row(i) for i in ids]
+    zero, one = ring.zero_i, ring.one_i
+    zeros = [zero] * n
+    if (
+        [row[zero] for row in add] != ids
+        or any(add[i][ring.neg_i(i)] != zero for i in ids)
+        or mul[one] != ids
+        or [row[one] for row in mul] != ids
+        or mul[zero] != zeros
+        or [row[zero] for row in mul] != zeros
+    ):
+        return False
+    if [list(col) for col in zip(*add)] != add:
+        return False
+    basis = additive_basis(ring)
+    if len(basis) > (n - 1).bit_length():
+        return False
+    lines = mul + [list(col) for col in zip(*mul)]
+    for b in basis:
+        ab = add[b]
+        for ax in add:
+            if [ab[v] for v in ax] != [ax[v] for v in ab]:
+                return False
+        for line in lines:
+            shift = add[line[b]]
+            if [line[v] for v in ab] != [shift[v] for v in line]:
+                return False
+    return all(
+        mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        for a in basis
+        for b in basis
+        for c in basis
+    )
+
+
+def quotient_coset_loop(ring, ideal):
+    """Coset representatives (smallest index first) and the index map of
+    R/I, one table entry per representative and member; then the quotient
+    tables entry by entry from the representatives."""
+    n = ring.order
+    rep_of = [-1] * n
+    reps = []
+    for x in range(n):
+        if rep_of[x] >= 0:
+            continue
+        reps.append(x)
+        for i in ideal.indices:
+            rep_of[ring.add_i(x, i)] = x
+    q_index = {rep: qi for qi, rep in enumerate(reps)}
+    index_map = tuple(q_index[rep_of[x]] for x in range(n))
+    add = [[index_map[ring.add_i(a, b)] for b in reps] for a in reps]
+    mul = [[index_map[ring.mul_i(a, b)] for b in reps] for a in reps]
+    return tuple(reps), index_map, add, mul

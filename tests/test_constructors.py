@@ -14,10 +14,12 @@ from nilclean import (
     BadParameter,
     Caps,
     DEFAULT_FAMILY,
+    SuiteConfig,
     FiniteRing,
     NotCentralIdempotent,
     OrderCapExceeded,
     ParseError,
+    all_ideals,
     build,
     idempotents,
     ideal_generated,
@@ -39,7 +41,8 @@ from nilclean import (
 )
 from nilclean.construct import DEFAULT_ORDER_CAP, TRI_POSITIONS, _is_rotation
 
-from oracles import reference_ops, tri_mat_mul
+import nilclean.theorems as theorems
+from oracles import quotient_coset_loop, reference_ops, tri_mat_mul
 
 
 def test_zmod_basics():
@@ -158,6 +161,31 @@ def test_quotient_z8_by_2_is_boolean():
     q, _ = make_quotient(z8, ideal_generated(z8, [2]))
     assert q.order == 2
     assert is_boolean_ring(q)
+
+
+def test_quotients_match_the_coset_loop(monkeypatch):
+    # every quotient run_all builds on the default family, then two rings
+    # whose spec is a quotient
+    seen = []
+
+    def recording(ring, ideal):
+        seen.append((ring, ideal))
+        return make_quotient(ring, ideal)
+
+    monkeypatch.setattr(theorems, "make_quotient", recording)
+    theorems.run_all(SuiteConfig())
+    cases = {(ring.spec, ideal.mask): (ring, ideal) for ring, ideal in seen}
+    assert len(cases) > 50, len(cases)
+    for spec in ("Q(Z128;[64])", "Q(Z8xZ16;[8])"):
+        quotient = build(spec)
+        ring, mask = quotient.structure[1:]
+        cases[spec, mask] = ring, next(i for i in all_ideals(ring) if i.mask == mask)
+    for ring, ideal in cases.values():
+        quotient, projection = make_quotient(ring, ideal)
+        reps, index_map, add, mul = quotient_coset_loop(ring, ideal)
+        assert projection.reps == reps and projection.index_map == index_map
+        assert [quotient.add_row(i) for i in range(quotient.order)] == add
+        assert [quotient.mul_row(i) for i in range(quotient.order)] == mul
 
 
 def test_projection_is_a_surjective_ring_map(small_family_rings):
