@@ -129,7 +129,15 @@ def verify_ideal(ring: FiniteRing, mask: int) -> None:
     that span, a subgroup), and a*x, x*a must stay inside for every element
     a of the additive basis and every generator x of the span.  Sums of
     those products then cover r*y and y*r for all r in R and y in the mask.
+    A mask with a bit at or above the order, or a negative one (every bit
+    set from some point on), names no set of elements and is refused first.
     """
+    high = mask >> ring.order
+    if high:
+        bit = ring.order + (high & -high).bit_length() - 1
+        raise NotAnIdeal(
+            f"{ring.spec}: mask bit {bit} is not an element below {ring.order}"
+        )
     if not mask >> ring.zero_i & 1:
         raise NotAnIdeal(f"{ring.spec}: zero missing")
     members = indices_of(mask)

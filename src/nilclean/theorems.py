@@ -749,8 +749,15 @@ _MORITA_NOTE = "second diagonal conclusion read as the lower-right block"
 
 
 def _morita_diagonal_ideals(ring: FiniteRing, ideal: Ideal, ring_a, ring_b):
+    """The ideal's upper-left and lower-right projections, as ideals of Z_a
+    and Z_b.  With the zero pairing, (r,s,m,n) -> r and -> s are surjective
+    ring homomorphisms, and a surjection maps an ideal onto an ideal, so
+    neither projection is verified again."""
     a1, b1, _, _ = _morita_projections(ring, ideal)
-    return Ideal.from_members(ring_a, a1), Ideal.from_members(ring_b, b1)
+    return (
+        Ideal(ring_a, mask_of(a1), verify=False),
+        Ideal(ring_b, mask_of(b1), verify=False),
+    )
 
 
 @_check(

@@ -4,12 +4,15 @@ Everything here deliberately avoids the library's memoized classifier sets
 and shortcut algorithms: nilpotency by plain power iteration, units by full
 inverse scans, decompositions by a double loop over all pairs, ideals by
 all n^2 products r*g*s and pairwise closure, the radical by
-quasi-regularity, commutativity and the center over all pairs, and ring
-operations entry by entry from each constructor's defining formula.  Member sets are int bit masks, bit i for
-element i, as in ``nilclean.ideals``.
+quasi-regularity, commutativity and the center over all pairs, complete
+central sets by trying every combination, and ring operations entry by
+entry from each constructor's defining formula.  Member sets are int bit
+masks, bit i for element i, as in ``nilclean.ideals``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 
 def naive_nil_index(ring, x: int):
@@ -380,3 +383,26 @@ def quotient_coset_loop(ring, ideal):
     add = [[index_map[ring.add_i(a, b)] for b in reps] for a in reps]
     mul = [[index_map[ring.mul_i(a, b)] for b in reps] for a in reps]
     return tuple(reps), index_map, add, mul
+
+
+def complete_sets_by_combinations(ring, max_size: int = 4):
+    """Complete orthogonal central sets by trying every combination of at
+    most max_size nonzero central idempotents, as the library did before it
+    enumerated the partitions of the atoms; same sorted tuples, same order.
+    The candidates come from the naive center, not the memoized one."""
+    idempotent = {x for x in range(ring.order) if ring.mul_i(x, x) == x}
+    candidates = sorted((idempotent & naive_center(ring)) - {ring.zero_i})
+    found = []
+    for k in range(1, max_size + 1):
+        for combo in itertools.combinations(candidates, k):
+            if any(
+                ring.mul_i(a, b) != ring.zero_i
+                for a, b in itertools.combinations(combo, 2)
+            ):
+                continue
+            total = ring.zero_i
+            for e in combo:
+                total = ring.add_i(total, e)
+            if total == ring.one_i:
+                found.append(combo)
+    return found

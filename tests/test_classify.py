@@ -16,7 +16,13 @@ from nilclean import (
     units,
 )
 
-from oracles import naive_is_unit, naive_nil_index, radical_of_modulus
+from oracles import (
+    complete_sets_by_combinations,
+    naive_is_ideal,
+    naive_is_unit,
+    naive_nil_index,
+    radical_of_modulus,
+)
 
 
 def test_idempotent_examples():
@@ -156,3 +162,46 @@ def test_complete_sets_are_orthogonal_and_sum_to_one(small_family_rings):
                 for b in combo:
                     if a != b:
                         assert ring.mul_i(a, b) == ring.zero_i
+
+
+ORACLE_EXTRA_SPECS = (
+    "Z2xZ2xZ2xZ2xZ2xZ2xZ2",
+    "T2(Z6)",
+    "Z2xT2(Z2)",
+    "Z210",
+    "C(Z6xZ10;10)",
+)
+
+
+def test_complete_sets_match_the_combination_search(differential_rings):
+    # compared as lists, so the order of the sets is pinned too
+    rings = differential_rings + [build(spec) for spec in ORACLE_EXTRA_SPECS]
+    for ring in rings:
+        for max_size in range(1, 5):
+            got = complete_orthogonal_central_sets(ring, max_size)
+            want = complete_sets_by_combinations(ring, max_size)
+            assert got == want, (ring.spec, max_size)
+
+
+def _stirling2(n, k):
+    """S(n, k), the partitions of n things into k nonempty blocks, from
+    S(m, j) = j*S(m-1, j) + S(m-1, j-1) with S(0, 0) = 1."""
+    row = [1] + [0] * n  # S(0, j) for j = 0, 1, ..., n
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, n + 1)]
+    return row[k]
+
+
+def test_complete_set_count_is_a_sum_of_stirling_numbers():
+    # the central idempotents of Z2^m form the Boolean algebra of m atoms
+    for m in range(1, 9):
+        ring = build("x".join(["Z2"] * m))
+        expected = sum(_stirling2(m, j) for j in range(1, min(4, m) + 1))
+        assert len(complete_orthogonal_central_sets(ring)) == expected, m
+    assert expected == 2795
+
+
+def test_radical_passes_the_ideal_oracle(differential_rings):
+    # the radical is built unverified: its docstring proves it an ideal
+    for ring in differential_rings:
+        assert naive_is_ideal(ring, jacobson_radical(ring).mask), ring.spec

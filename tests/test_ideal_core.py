@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from nilclean import all_ideals, build, ideal_generated, ideal_sum, jacobson_radical
+from nilclean import Ideal, all_ideals, build, ideal_generated, ideal_sum, jacobson_radical
 from nilclean.ideals import additive_basis, verify_ideal
 from nilclean.errors import NotAnIdeal
 
@@ -137,3 +137,13 @@ def test_rejection_names_a_true_witness(core_rings):
             else:
                 x, a = re.search(r"right-absorbing at (\d+)\*(\d+)", message).groups()
                 assert inside(x) and not inside(ring.mul_i(int(x), int(a)))
+
+
+def test_masks_outside_the_ring_are_refused_by_name():
+    ring = build("Z4")
+    # a bit far above the order, and a negative mask (bit 4 on, and up)
+    for mask, bit in ((1 | 1 << 100, 100), (-1, 4), (1 | -(1 << 10), 10)):
+        with pytest.raises(NotAnIdeal, match=rf"mask bit {bit} is not an element below 4"):
+            Ideal(ring, mask)
+        with pytest.raises(NotAnIdeal, match=rf"mask bit {bit} "):
+            verify_ideal(ring, mask)

@@ -22,6 +22,8 @@ from nilclean import (
 )
 from nilclean.cli import table_json
 
+from oracles import naive_is_ideal
+
 
 def test_registry_has_27_checks():
     assert len(CHECKS) == 27
@@ -174,6 +176,18 @@ def test_morita_zero_iff_reports_both_readings():
     assert report.verdict == "verified"
     assert report.details["strong_reading"] == "verified"
     assert report.details["plain_reading"] == "verified"
+
+
+def test_morita_diagonal_projections_pass_the_ideal_oracle():
+    # built unverified: each is the image of an ideal under a surjection
+    for spec in ("MZ(4,2,2)", "MZ(2,2,2)"):
+        ring = build(spec)
+        _, a, b, _ = ring.structure
+        ring_a, ring_b = make_zmod(a), make_zmod(b)
+        for ideal in all_ideals(ring):
+            left, right = theorems._morita_diagonal_ideals(ring, ideal, ring_a, ring_b)
+            assert naive_is_ideal(ring_a, left.mask), (spec, ideal.indices)
+            assert naive_is_ideal(ring_b, right.mask), (spec, ideal.indices)
 
 
 def test_strong_unique_reports_divergences():
