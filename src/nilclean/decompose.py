@@ -6,9 +6,12 @@ decomposition is determined by its idempotent; one per-ring fill below
 therefore lists, for each element, its admissible idempotent indices in
 ascending order, and everything else is rebuilt from that.
 
-An element's verified decompositions and its idempotent lifting path are
-facts about the ring and the element alone, so each is built at most once
-per element, when first asked for, and kept on the ring.
+An element's admissible idempotents, each pair checked on indices against
+the decomposition laws, and its idempotent lifting path, a tuple of
+indices, are facts about the ring and the element alone, so each is built
+at most once per element, when first asked for, and kept on the ring.  The
+checks read these index facts; `Decomposition` and `Elem` objects are built
+only for the public functions that return them.
 """
 
 from __future__ import annotations
@@ -42,18 +45,20 @@ class Decomposition:
 
     def verify(self) -> "Decomposition":
         ring = self.element.ring
-        e, y = self.idempotent, self.second
-        if e * e != e:
+        if not (self.idempotent.ring is ring and self.second.ring is ring):
+            raise InternalInvariantViolation("parts belong to another ring")
+        x, e, y = self.element.index, self.idempotent.index, self.second.index
+        if ring.mul_i(e, e) != e:
             raise InternalInvariantViolation("idempotent part fails e*e = e")
-        if e + y != self.element:
+        if ring.add_i(e, y) != x:
             raise InternalInvariantViolation("parts do not sum to the element")
-        if self.commutes != (e * y == y * e):
+        if self.commutes != _commuting(ring, e, y):
             raise InternalInvariantViolation("commutation flag is wrong")
         if self.kind == NIL_CLEAN:
-            if nilpotency_index(ring, y) != self.nil_index:
+            if nilpotents(ring).get(y) != self.nil_index:
                 raise InternalInvariantViolation("stated nilpotency index is wrong")
         elif self.kind == CLEAN:
-            if y.index not in units(ring):
+            if y not in units(ring):
                 raise InternalInvariantViolation("second part is not a unit")
         else:
             raise InternalInvariantViolation(f"unknown kind {self.kind!r}")
@@ -116,13 +121,43 @@ def _make(ring: FiniteRing, x: int, e: int, kind: str) -> Decomposition:
     ).verify()
 
 
+def admissible_idempotents(
+    ring: FiniteRing, x: ElemLike, kind: str = NIL_CLEAN
+) -> Tuple[int, ...]:
+    """The idempotents e, ascending, with x - e nilpotent (nil-clean kind) or
+    a unit (clean kind), as indices: x's decompositions without building
+    them.  Memoized element by element once each pair is checked."""
+    i = ring.index_of(x)
+    memo = ring.cached(("checked", kind), dict)
+    found = memo.get(i)
+    if found is None:
+        found = memo[i] = _check_pairs(ring, i, kind)
+    return found
+
+
+def _check_pairs(ring: FiniteRing, i: int, kind: str) -> Tuple[int, ...]:
+    """Element i's admissible idempotents, each pair (e, i - e) checked on
+    indices against the laws `verify()` checks: e*e = e, e + (i - e) = i,
+    and i - e nilpotent or a unit by kind."""
+    second = nilpotents(ring) if kind == NIL_CLEAN else units(ring)
+    found = tuple(_admissible(ring, kind)[i])
+    for e in found:
+        y = ring.sub_i(i, e)
+        if ring.mul_i(e, e) != e or ring.add_i(e, y) != i or y not in second:
+            raise InternalInvariantViolation(
+                f"{ring.spec}: {e} is not a {kind} idempotent of element {i}"
+            )
+    return found
+
+
 def _decompositions(ring: FiniteRing, i: int, kind: str) -> Tuple[Decomposition, ...]:
     """The verified decompositions of element i, memoized element by element."""
     memo = ring.cached(("decompositions", kind), dict)
     decs = memo.get(i)
     if decs is None:
-        admissible = _admissible(ring, kind)[i]
-        decs = memo[i] = tuple(_make(ring, i, e, kind) for e in admissible)
+        decs = memo[i] = tuple(
+            _make(ring, i, e, kind) for e in admissible_idempotents(ring, i, kind)
+        )
     return decs
 
 
@@ -204,6 +239,20 @@ def is_nil_clean_ring(ring: FiniteRing) -> bool:
     return all(lists[x] for x in range(ring.order))
 
 
+def splits_within_ideal(ideal: Ideal, x: ElemLike) -> bool:
+    """Whether x has a nil-clean decomposition with both parts in the ideal.
+
+    That is whether some admissible idempotent e of x lies in the ideal:
+    x is in the ideal I, so if e is in I then x - e is, and if x - e is in I
+    then e = x - (x - e) is.
+    """
+    ring = ideal.ring
+    i = ring.index_of(x)
+    if i not in ideal:
+        raise PreconditionViolated(f"element {i} is not in the ideal")
+    return any(e in ideal for e in admissible_idempotents(ring, i))
+
+
 def decomposition_within_ideal(ideal: Ideal, x: ElemLike) -> List[Decomposition]:
     """Nil-clean decompositions of x whose both parts lie inside the ideal."""
     ring = ideal.ring
@@ -236,17 +285,22 @@ def lift_idempotent_path(ring: FiniteRing, a: ElemLike) -> List[Elem]:
     Requires a - a^2 nilpotent.  Each step squares the nilpotency order of
     t - t^2 (up to a commuting factor), so at most ceil(log2 v) + 1 steps are
     needed, v being the nilpotency index of a - a^2; the bound is asserted.
-    A path is memoized per element; a failure is not, and raises every time.
+    A path is memoized per element as a tuple of indices; a failure is not,
+    and raises every time.
     """
-    i = ring.index_of(a)
+    return list(map(ring.elem, _lifted(ring, ring.index_of(a))))
+
+
+def _lifted(ring: FiniteRing, i: int) -> Tuple[int, ...]:
+    """Element i's lifting path as indices, memoized per element."""
     paths = ring.cached("lift_paths", dict)
     path = paths.get(i)
     if path is None:
         path = paths[i] = _lift_path(ring, i)
-    return list(path)
+    return path
 
 
-def _lift_path(ring: FiniteRing, i: int) -> Tuple[Elem, ...]:
+def _lift_path(ring: FiniteRing, i: int) -> Tuple[int, ...]:
     defect = ring.sub_i(i, ring.mul_i(i, i))
     v = nilpotency_index(ring, defect)
     if v is None:
@@ -254,13 +308,13 @@ def _lift_path(ring: FiniteRing, i: int) -> Tuple[Elem, ...]:
             f"{ring.spec}: a - a^2 is not nilpotent for element {i}"
         )
     bound = (v - 1).bit_length() + 1
-    path = [ring.elem(i)]
+    path = [i]
     t = i
     steps = 0
     while ring.mul_i(t, t) != t:
         t = _cube_step(ring, t)
         steps += 1
-        path.append(ring.elem(t))
+        path.append(t)
         if steps > bound:
             raise InternalInvariantViolation(
                 f"lifting exceeded {bound} steps on {ring.spec} element {i}"
@@ -274,7 +328,7 @@ def _lift_path(ring: FiniteRing, i: int) -> Tuple[Elem, ...]:
 
 def lift_idempotent(ring: FiniteRing, a: ElemLike) -> Elem:
     """An idempotent e, polynomial in a, with a - e nilpotent."""
-    return lift_idempotent_path(ring, a)[-1]
+    return ring.elem(_lifted(ring, ring.index_of(a))[-1])
 
 
 def lift_idempotent_mod_nil(ring: FiniteRing, ideal: Ideal, x: ElemLike) -> Elem:
@@ -291,9 +345,9 @@ def lift_idempotent_mod_nil(ring: FiniteRing, ideal: Ideal, x: ElemLike) -> Elem
     defect = ring.sub_i(ring.mul_i(i, i), i)
     if defect not in ideal:
         raise PreconditionViolated(f"x^2 - x is not in the ideal for element {i}")
-    e = lift_idempotent(ring, i)
-    if ring.sub_i(e.index, i) not in ideal:
+    e = _lifted(ring, i)[-1]
+    if ring.sub_i(e, i) not in ideal:
         raise InternalInvariantViolation(
             f"lift left the coset of {i} modulo the ideal"
         )
-    return e
+    return ring.elem(e)

@@ -43,8 +43,8 @@ from .construct import (
     spec_order,
 )
 from .decompose import (
-    clean_decompositions,
-    decomposition_within_ideal,
+    CLEAN,
+    admissible_idempotents,
     is_clean_ideal,
     is_nil_clean_ideal,
     is_nil_clean_ring,
@@ -54,7 +54,7 @@ from .decompose import (
     is_uniquely_strongly_clean_ideal,
     is_uniquely_strongly_nil_clean_ideal,
     lift_idempotent_mod_nil,
-    nil_clean_decompositions,
+    splits_within_ideal,
 )
 from .errors import AxiomFailure, NilCleanError, NotAnIdeal, UnknownCheck
 from .ideals import (
@@ -267,10 +267,10 @@ def _nil_or_witness(ring: FiniteRing, part: Ideal, reason: str, ideal: Ideal):
 def _bad_clean_pair(ring: FiniteRing, x: int):
     """The first constructed pair (1-e, -1-n) from -x = e + n that is not a
     clean decomposition of x, or None."""
-    one = ring.one_i
-    for d in nil_clean_decompositions(ring, ring.neg_i(x)):
-        em = ring.sub_i(one, d.idempotent.index)
-        um = ring.neg_i(ring.add_i(one, d.second.index))
+    one, minus_x = ring.one_i, ring.neg_i(x)
+    for e in admissible_idempotents(ring, minus_x):
+        em = ring.sub_i(one, e)
+        um = ring.neg_i(ring.add_i(one, ring.sub_i(minus_x, e)))
         if ring.add_i(em, um) != x or ring.mul_i(em, em) != em or um not in units(ring):
             return em, um
     return None
@@ -302,7 +302,9 @@ def _check_l1(ring, caps):
         if not nil_clean:
             yield SKIP
         elif not clean:
-            bad = next(x for x in ideal.indices if not clean_decompositions(ring, x))
+            bad = next(
+                x for x in ideal.indices if not admissible_idempotents(ring, x, CLEAN)
+            )
             yield _w(ring, "nil-clean ideal with a non-clean member", ideal, bad)
         else:
             yield _clean_pair_failure(ring, ideal)
@@ -352,11 +354,11 @@ def _check_prod_ideals(ring, caps):
 @_check("strong_iff", "strongly nil-clean = strongly clean with nilpotent a - a^2")
 def _check_strong_iff(ring, caps):
     reason = "strongly nil-clean disagrees with strongly clean + nilpotent defect"
+    nil = nilpotents(ring)
     for ideal in _ideals(ring, caps):
         lhs = is_strongly_nil_clean_ideal(ideal)
         rhs = is_strongly_clean_ideal(ideal) and all(
-            nilpotency_index(ring, ring.sub_i(x, ring.mul_i(x, x))) is not None
-            for x in ideal.indices
+            ring.sub_i(x, ring.mul_i(x, x)) in nil for x in ideal.indices
         )
         yield _iff(lhs, rhs, ring, reason, ideal)
 
@@ -419,7 +421,7 @@ def _check_main1(ring, caps):
     for ideal in _ideals(ring, caps):
         lhs = is_nil_clean_ideal(ideal)
         bad = next(
-            (x for x in ideal.indices if not decomposition_within_ideal(ideal, x)),
+            (x for x in ideal.indices if not splits_within_ideal(ideal, x)),
             None,
         )
         yield _unless(lhs == (bad is None), ring, reason, ideal, bad)

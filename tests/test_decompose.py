@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, strategies as st
 import nilclean.decompose as decompose_module
 from nilclean import (
     Decomposition,
+    InternalInvariantViolation,
     PreconditionViolated,
+    admissible_idempotents,
     all_ideals,
     build,
     clean_decompositions,
@@ -23,13 +26,14 @@ from nilclean import (
     make_zmod,
     nil_clean_decompositions,
     run_all,
+    splits_within_ideal,
     strongly_filter,
     unit_ideal,
     units,
     zero_ideal,
 )
 
-from nilclean.decompose import _admissible, _every_member
+from nilclean.decompose import NIL_CLEAN, _admissible, _every_member
 
 from oracles import brute_pairs, every_member_loop
 
@@ -138,6 +142,61 @@ def test_decompositions_self_verify(small_family_rings):
             for d in clean_decompositions(ring, x):
                 d.verify()
                 assert d.second.index in units(ring)
+
+
+def test_decomposition_verify_checks_each_law():
+    z4, z8 = make_zmod(4), make_zmod(8)
+    d = nil_clean_decompositions(z4, 3)[0]
+    for bad in (
+        dataclasses.replace(d, second=z8.elem(2)),  # a part of another ring
+        dataclasses.replace(d, idempotent=z4.elem(3), second=z4.elem(0)),  # 3*3 = 1
+        dataclasses.replace(d, second=z4.elem(0)),  # 1 + 0 != 3
+        dataclasses.replace(d, commutes=False),
+        dataclasses.replace(d, nil_index=3),
+        dataclasses.replace(d, kind="clean"),  # 2 is not a unit
+        dataclasses.replace(d, kind="other"),
+    ):
+        with pytest.raises(InternalInvariantViolation):
+            bad.verify()
+    assert d.verify() is d
+
+
+def test_admissible_idempotents_match_brute_pairs(differential_rings):
+    for ring in [*differential_rings, build("T2(Z6)")]:
+        for kind in KINDS:
+            for x in range(ring.order):
+                want = [e for e, _ in brute_pairs(ring, x, kind)]
+                got = admissible_idempotents(ring, x, kind)
+                assert list(got) == want, (ring.spec, kind, x)
+
+
+def test_splits_within_ideal_matches_the_decompositions(family_rings):
+    for ring in family_rings:
+        for ideal in all_ideals(ring):
+            for x in ideal.indices:
+                want = bool(decomposition_within_ideal(ideal, x))
+                assert splits_within_ideal(ideal, x) == want, (ring.spec, x)
+    with pytest.raises(PreconditionViolated):
+        splits_within_ideal(ideal_generated(make_zmod(27), [3]), 2)
+
+
+def test_a_corrupted_admissible_list_is_an_error_verdict(monkeypatch):
+    """The index checks are live: a non-idempotent slipped into element 0's
+    nil-clean list on Z4 (2*2 = 0) stops main1 with an error verdict."""
+    real = decompose_module._admissible
+
+    def corrupted(ring, kind, strong=False):
+        lists = real(ring, kind, strong)
+        if ring.spec == "Z4" and kind == NIL_CLEAN and not strong:
+            return [es + [2] if x == 0 else es for x, es in enumerate(lists)]
+        return lists
+
+    monkeypatch.setattr(decompose_module, "_admissible", corrupted)
+    report = run_all(ids=["main1"])[0]
+    assert report.verdict == "error"
+    assert report.witness == {
+        "reason": "Z4: 2 is not a nil-clean idempotent of element 0"
+    }
 
 
 def test_strongly_filter_is_identity_on_commutative():
@@ -301,26 +360,27 @@ def test_decompositions_are_built_for_the_asked_element_only(monkeypatch):
     assert {x for x, _ in made} == {5}
 
 
-def test_run_all_makes_each_decomposition_once(monkeypatch):
-    """Structural guard: one _make and one verify() per (ring, x, e, kind)."""
-    made = Counter()
-    verified = Counter()
+def test_run_all_makes_no_decomposition(monkeypatch):
+    """Structural guard: the checks read index facts, so a whole run builds
+    no Decomposition, and checks each element's admissible idempotents at
+    most once per (ring, x, kind)."""
+    made = []
+    checked = Counter()
     alive = []  # keeps every ring alive, so no id() is reused within the run
-    real_make = decompose_module._make
-    real_verify = Decomposition.verify
+    real_init = Decomposition.__init__
+    real_check = decompose_module._check_pairs
 
-    def make(ring, x, e, kind):
+    def init(self, *args, **kwargs):
+        made.append(args)
+        real_init(self, *args, **kwargs)
+
+    def check(ring, x, kind):
         alive.append(ring)
-        made[id(ring), x, e, kind] += 1
-        return real_make(ring, x, e, kind)
+        checked[id(ring), x, kind] += 1
+        return real_check(ring, x, kind)
 
-    def verify(self):
-        x, e = self.element, self.idempotent
-        verified[id(x.ring), x.index, e.index, self.kind] += 1
-        return real_verify(self)
-
-    monkeypatch.setattr(decompose_module, "_make", make)
-    monkeypatch.setattr(Decomposition, "verify", verify)
+    monkeypatch.setattr(Decomposition, "__init__", init)
+    monkeypatch.setattr(decompose_module, "_check_pairs", check)
     run_all()
-    assert made and max(made.values()) == 1
-    assert verified == made
+    assert made == []
+    assert checked and max(checked.values()) == 1

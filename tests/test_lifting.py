@@ -76,6 +76,16 @@ def test_lift_over_whole_family(small_family_rings):
             assert e in _subring_generated_by(ring, a)
 
 
+def test_lift_endpoints_as_indices(small_family_rings):
+    for ring in [*small_family_rings, build("T2(Z6)")]:
+        for a in range(ring.order):
+            if nilpotency_index(ring, ring.sub_i(a, ring.mul_i(a, a))) is None:
+                continue
+            end = decompose_module._lifted(ring, a)[-1]
+            assert end == lift_idempotent_path(ring, a)[-1].index, (ring.spec, a)
+            assert end == lift_idempotent(ring, a).index
+
+
 def test_lift_mod_nil_examples():
     z8 = make_zmod(8)
     two = ideal_generated(z8, [2])
