@@ -7,7 +7,6 @@ the ring; single-element predicates accept Elem handles or raw indices.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import BadParameter
@@ -30,12 +29,21 @@ def is_idempotent(ring: FiniteRing, x: ElemLike) -> bool:
 
 
 def nilpotents(ring: FiniteRing) -> Dict[int, int]:
-    """Index -> nilpotency index for every nilpotent element, from one
-    :func:`nilpotency_index` walk per element: O(n log n) lookups."""
+    """Index -> nilpotency index for every nilpotent element: the walk of
+    :func:`nilpotency_index` along each row, inline over the rows of one
+    ``map``: O(n log n) lookups."""
 
     def fill():
-        index = map(nilpotency_index, itertools.repeat(ring), range(ring.order))
-        return {x: k for x, k in enumerate(index) if k is not None}
+        zero, found = ring.zero_i, {}
+        steps = range(1, ring.order.bit_length())
+        for x, row in enumerate(map(ring.mul_row, range(ring.order))):
+            power = x
+            for k in steps:
+                if power == zero:
+                    found[x] = k
+                    break
+                power = row[power]
+        return found
 
     return ring.cached("nilpotents", fill)
 
@@ -74,8 +82,8 @@ def units(ring: FiniteRing) -> FrozenSet[int]:
     """
 
     def fill():
-        one = ring.one_i
-        return frozenset(i for i in range(ring.order) if one in ring.mul_row(i))
+        one, rows = ring.one_i, map(ring.mul_row, range(ring.order))
+        return frozenset(i for i, row in enumerate(rows) if one in row)
 
     return ring.cached("units", fill)
 

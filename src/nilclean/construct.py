@@ -259,7 +259,7 @@ def parse_ring_spec(text: str) -> RingSpec:
 # Products, T_n, Id and MZ are direct sums of their slots' additive groups,
 # and ``_direct_sum`` alone knows how their tuples are indexed; each of those
 # constructors names its slots, its product and its label format.  Their
-# additive groups are componentwise, assembled from row blocks: one ``map``
+# additive groups are componentwise, assembled from row blocks: one gather
 # per block of the last slot and slice copies above it, except on a slot
 # whose table is a rotation table (Z_n), where each row is a slice of the
 # row of slot value 0 written twice over.  The multiplication of a product
@@ -267,7 +267,23 @@ def parse_ring_spec(text: str) -> RingSpec:
 # of additive generators, with no Python work per entry (``_bilinear_rows``).
 # Quotients and corners are induced from the parent's rows.  Entries are
 # entries of other tables or looked up in one shared ``ints =
-# list(range(order))``, so equal entries share one int object.
+# list(range(order))``, so equal entries share one int object.  Where one
+# index list is read from many rows, one ``_gather`` is built for it and
+# applied to each row: about half the cost per entry of a ``map`` of
+# ``row.__getitem__``.
+
+
+def _gather(indices):
+    """``src -> tuple(src[i] for i in indices)``, one ``itemgetter`` built
+    once for a nonempty index list and reused on every source.
+
+    ``itemgetter(i)`` alone returns the bare item, so a single index is
+    wrapped to give a 1-tuple as well.
+    """
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda src: (src[i],)
+    return itemgetter(*indices)
 
 
 def _radix_sum(vectors, ints) -> list:
@@ -315,19 +331,21 @@ def _direct_sum(spec, structure, slots, zero, one, mul, labeler) -> FiniteRing:
     table on slots t+1..k, shifted by that value.  Its entry ``(b, j)`` is
     then ``(m*o_t + T_t[a][b])*s_t`` plus entry j of that row unshifted, as
     the mixed radix asks.  So the last slot's rows are cut, once per shift,
-    from a window of `ints` with one ``map``, and every higher row is a run
-    of o_t slice copies into a row allocated at full length.  Each level
-    lists n rows counted with their shifts, so this block path costs n*o_t
-    slice copies at level t, and n*o_k entries of Python work at the last.
+    from a window of `ints` by one gather per slot row (``_gather``, built
+    once and applied to every window), and every higher row is a run of o_t
+    slice copies into a row allocated at full length.  Each level lists n
+    rows counted with their shifts, so this block path costs n*o_t slice
+    copies at level t, and at the last n*o_k entries gathered in C, with
+    Python work once per row and shift (n times), not per entry.
 
     When ``T_t`` is a rotation table (``_is_rotation``; the add table of
     Z_n is one), the blocks of row ``(a, r)`` are those of row ``(0, r)``
     rotated left by a, so that row is row ``(0, r)`` at the same shift
     rotated left by ``a*s_t`` entries: one slice of row ``(0, r)`` written
     twice over.  Only the n/o_t rows ``(0, r)`` are assembled from blocks
-    (from a mapped window of row 0 at the last level, as ``T_t[0]`` need not
-    be the identity), so such a level costs about 2n slice copies, and n
-    entries of Python work at the last.  Each row below is listed with all
+    (from a gathered window of row 0 at the last level, as ``T_t[0]`` need
+    not be the identity), so such a level costs about 2n slice copies, and
+    n entries gathered at the last.  Each row below is listed with all
     its shifts, read by the o_t rows above that use it and dropped, so the
     blocks held at once are about n entries per level.
     """
@@ -350,14 +368,17 @@ def _direct_sum(spec, structure, slots, zero, one, mul, labeler) -> FiniteRing:
         o = len(table)
         cyclic = _is_rotation(table)
         if t == len(tables) - 1:
-            windows = [ints[m * o : m * o + o].__getitem__ for m in range(copies)]
+            # tuples, as the level above only copies them into its rows
+            windows = [ints[m * o : m * o + o] for m in range(copies)]
             if cyclic:  # row r is row 0 rotated left by r
-                heads = [list(map(w, table[0])) * 2 for w in windows]
+                pick = _gather(table[0])
+                heads = [pick(w) * 2 for w in windows]
                 for r in range(o):
                     yield r, [head[r : r + o] for head in heads]
                 return
             for r, row in enumerate(table):
-                yield r, [list(map(w, row)) for w in windows]
+                pick = _gather(row)
+                yield r, [pick(w) for w in windows]
             return
         width = strides[t]
         length = o * width
@@ -419,10 +440,17 @@ def _bilinear_rows(add: list, zero: int, product) -> list:
     fixed by its values on additive generators, and `product` is called only
     on pairs of the k <= log2(n) generators that ``ideals._span`` keeps.
     Each column x -> xg is listed along that span from the products a*g,
-    then each row y -> xy from its values x*g read off the columns: one
-    ``map`` over an add row per block of cosets (``ideals._cosets``).
+    then each row y -> xy from its values x*g read off the columns.  Along
+    the span, the first generator's multiples 0, v, 2v, .. are walked on
+    the add row of v; each later generator adds the cosets H + v, H + 2v,
+    .. of the list H so far, read by one gather at H (``_gather``, built
+    once per level) from the add rows of v, 2v, ...  A row of n entries
+    thus costs n - m entries gathered in C and m steps of Python, m the
+    first generator's multiples, plus one step per later coset.  The tests
+    compare these rows with a walk by one ``map`` per block of cosets
+    (``oracles.bilinear_rows_by_cosets``).
     """
-    from .ideals import _cosets, _span
+    from .ideals import _span
 
     n = len(add)
     _, listed, gens = _span(add.__getitem__, n, (zero,), range(n))
@@ -431,9 +459,18 @@ def _bilinear_rows(add: list, zero: int, product) -> list:
     counts = [b // a for a, b in zip(sizes, sizes[1:])]
 
     def along_span(values) -> list:
-        out = [zero]
-        for v, m in zip(values, counts):
-            _cosets(add.__getitem__, out, v, m)
+        # the first level is 0, v, 2v, .., walked along the add row of v
+        out, c, step = [zero], zero, add[values[0]]
+        for _ in range(counts[0] - 1):
+            c = step[c]
+            out.append(c)
+        for v, m in zip(values[1:], counts[1:]):
+            # H + c for c = v, 2v, .., (m-1)v: one gather at H's list
+            pick, c = _gather(out), v
+            for _ in range(m - 1):
+                row = add[c]
+                out.extend(pick(row))
+                c = row[v]
         return out
 
     cols = [along_span([product(a, g) for a in gens]) for g in gens]
@@ -508,7 +545,12 @@ def _ring_slot(ring: FiniteRing) -> tuple:
 
 def _induced_tables(ring: FiniteRing, elems, index) -> tuple:
     """Tables on `elems` (coset representatives or corner members) whose entry
-    for (i, j) is ``index[elems[i] op elems[j]]``, from the parent's rows."""
+    for (i, j) is ``index[elems[i] op elems[j]]``, from the parent's rows.
+
+    One comprehension step per entry, 2*q^2 in all for q elements: a gather
+    at `elems` would still need a second gather through `index` per row,
+    and that measured no faster at the orders the checks build.
+    """
     add = [[index[row[y]] for y in elems] for row in map(ring.add_row, elems)]
     mul = [[index[row[y]] for y in elems] for row in map(ring.mul_row, elems)]
     neg = [index[ring.neg_i(x)] for x in elems]

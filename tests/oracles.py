@@ -5,14 +5,14 @@ and shortcut algorithms: nilpotency by plain power iteration, units by full
 inverse scans, decompositions by a double loop over all pairs, ideals by
 all n^2 products r*g*s and pairwise closure, the radical by
 quasi-regularity, commutativity and the center over all pairs, complete
-central sets by trying every combination, and ring operations entry by
-entry from each constructor's defining formula.  Member sets are int bit
-masks, bit i for element i, as in ``nilclean.ideals``.
+central sets by a search over orthogonal combinations, ring operations
+entry by entry from each constructor's defining formula, and
+multiplication tables by the coset walk the library used before it
+gathered rows.  Member sets are int bit masks, bit i for element i, as in
+``nilclean.ideals``.
 """
 
 from __future__ import annotations
-
-import itertools
 
 
 def naive_nil_index(ring, x: int):
@@ -386,23 +386,63 @@ def quotient_coset_loop(ring, ideal):
 
 
 def complete_sets_by_combinations(ring, max_size: int = 4):
-    """Complete orthogonal central sets by trying every combination of at
-    most max_size nonzero central idempotents, as the library did before it
-    enumerated the partitions of the atoms; same sorted tuples, same order.
-    The candidates come from the naive center, not the memoized one."""
+    """Complete orthogonal central sets among the combinations of at most
+    max_size nonzero central idempotents, as the library listed them before
+    it enumerated the partitions of the atoms: same sorted tuples, in order
+    of size, then lexicographically.  The candidates come from the naive
+    center, not the memoized one.
+
+    A depth-first search in increasing index order extends a combination
+    only by candidates orthogonal to every member (a*c = 0 for each earlier
+    a), so it visits exactly the pairwise orthogonal combinations, in
+    lexicographic order; the sorting by size is stable.
+    """
     idempotent = {x for x in range(ring.order) if ring.mul_i(x, x) == x}
     candidates = sorted((idempotent & naive_center(ring)) - {ring.zero_i})
+    zero, one = ring.zero_i, ring.one_i
     found = []
-    for k in range(1, max_size + 1):
-        for combo in itertools.combinations(candidates, k):
-            if any(
-                ring.mul_i(a, b) != ring.zero_i
-                for a, b in itertools.combinations(combo, 2)
-            ):
-                continue
-            total = ring.zero_i
-            for e in combo:
-                total = ring.add_i(total, e)
-            if total == ring.one_i:
-                found.append(combo)
-    return found
+
+    def extend(combo, total, allowed):
+        if total == one:
+            found.append(combo)
+        if len(combo) == max_size:
+            return
+        for t, c in enumerate(allowed):
+            rest = [d for d in allowed[t + 1 :] if ring.mul_i(c, d) == zero]
+            extend(combo + (c,), ring.add_i(total, c), rest)
+
+    extend((), zero, candidates)
+    return sorted(found, key=len)
+
+
+def bilinear_rows_by_cosets(add: list, zero: int, product) -> list:
+    """Multiplication rows spanned from the products of additive generators,
+    as ``construct._bilinear_rows`` built them before it gathered rows: each
+    column and then each row is listed along the span by ``ideals._cosets``,
+    one ``map`` over an add row per block of cosets.  `product` is called
+    only on pairs of generators.
+    """
+    from operator import itemgetter
+
+    from nilclean.ideals import _cosets, _span
+
+    n = len(add)
+    _, listed, gens = _span(add.__getitem__, n, (zero,), range(n))
+    sizes = [listed.index(g) for g in gens] + [n]
+    counts = [b // a for a, b in zip(sizes, sizes[1:])]
+
+    def along_span(values) -> list:
+        out = [zero]
+        for v, m in zip(values, counts):
+            _cosets(add.__getitem__, out, v, m)
+        return out
+
+    cols = [along_span([product(a, g) for a in gens]) for g in gens]
+    at = None
+    if listed != sorted(listed):
+        at = itemgetter(*sorted(range(n), key=listed.__getitem__))
+    rows = [None] * n
+    while listed:
+        row = along_span([col.pop() for col in cols])
+        rows[listed.pop()] = row[:] if at is None else list(at(row))
+    return rows

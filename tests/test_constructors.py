@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import itertools
 import random
 import sys
@@ -6,6 +7,7 @@ import tracemalloc
 import weakref
 
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from nilclean import (
     DEFAULT_FAMILY,
     SuiteConfig,
     FiniteRing,
+    Ideal,
     NotCentralIdempotent,
     OrderCapExceeded,
     ParseError,
@@ -35,6 +38,7 @@ from nilclean import (
     make_table_ring,
     make_upper_triangular,
     make_zmod,
+    nilpotents,
     parse_ring_spec,
     units,
     verify_axioms,
@@ -42,7 +46,14 @@ from nilclean import (
 from nilclean.construct import DEFAULT_ORDER_CAP, TRI_POSITIONS, _is_rotation
 
 import nilclean.theorems as theorems
-from oracles import quotient_coset_loop, reference_ops, tri_mat_mul
+from oracles import (
+    bilinear_rows_by_cosets,
+    naive_is_unit,
+    naive_nil_index,
+    quotient_coset_loop,
+    reference_ops,
+    tri_mat_mul,
+)
 
 
 def test_zmod_basics():
@@ -524,6 +535,49 @@ def test_bilinear_rows_hold_no_spare_slots(spec):
     exact = sys.getsizeof([0] * ring.order)
     for i in range(ring.order):
         assert sys.getsizeof(ring.mul_row(i)) == exact, i
+
+
+def _query_ring_specs() -> tuple:
+    """The spec texts of the rings the benchmark's ``query`` workload asks
+    about (``perfbench/workloads.py``, loaded from its file)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return tuple(r.text for r in module.query_rings())
+
+
+GATHERED_SPECS = _query_ring_specs() + tuple(
+    s for s in TABLE_SPECS if s.startswith(("Q(", "C("))
+)
+
+
+@pytest.mark.parametrize("spec", GATHERED_SPECS)
+def test_gathered_tables_and_fills_match_the_oracles(spec):
+    """Every table row equals its oracle: multiplication spanned from the
+    generator products equals the coset walk by ``map``, quotient tables
+    the per-entry coset loop, and every other row the per-entry reference.
+    The nilpotent and unit fills equal plain iteration and inverse scans."""
+    ring = build(spec)
+    every = range(ring.order)
+    add_rows, mul_rows = list(map(ring.add_row, every)), list(map(ring.mul_row, every))
+    add, mul, _ = reference_ops(ring)
+    kind = ring.structure[0]
+    if kind == "quotient":
+        parent, mask = ring.structure[1:]
+        _, _, want_add, want_mul = quotient_coset_loop(parent, Ideal(parent, mask))
+    else:
+        want_add = [list(map(add, itertools.repeat(i), every)) for i in every]
+        if kind in ("tri", "idealization", "morita_zero"):
+            want_mul = bilinear_rows_by_cosets(add_rows, ring.zero_i, mul)
+        else:
+            want_mul = [list(map(mul, itertools.repeat(i), every)) for i in every]
+    assert add_rows == want_add
+    assert mul_rows == want_mul
+    nil = {x: k for x in every if (k := naive_nil_index(ring, x)) is not None}
+    assert nilpotents(ring) == nil
+    assert units(ring) == frozenset(x for x in every if naive_is_unit(ring, x))
 
 
 def _assert_zmod_matches_reference(n):
