@@ -34,17 +34,7 @@ from .construct import (
     make_table_ring,
     parse_ring_spec,
 )
-from .decompose import (
-    clean_decompositions,
-    is_clean_ideal,
-    is_nil_clean_ideal,
-    is_nil_clean_ring,
-    is_strongly_nil_clean_ideal,
-    is_uniquely_nil_clean_ideal,
-    is_uniquely_strongly_nil_clean_ideal,
-    nil_clean_decompositions,
-    strongly_filter,
-)
+from .decompose import decompositions, failing_member, is_nil_clean_ring
 from .errors import (
     AxiomFailure,
     BadParameter,
@@ -57,7 +47,7 @@ from .errors import (
     ParseError,
     UnknownCheck,
 )
-from .ideals import Ideal, ideal_generated, is_nil_ideal
+from .ideals import ideal_generated, non_nilpotent_member
 from .ring import EXHAUSTIVE_LIMIT, FiniteRing, is_commutative, verify_axioms
 from .theorems import DEFAULT_FAMILY, SuiteConfig, explore_noncommutative, run_all
 
@@ -140,51 +130,13 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-_PROPERTY_DISPATCH = {
-    "clean": is_clean_ideal,
-    "nil-clean": is_nil_clean_ideal,
-    "strongly-nil-clean": is_strongly_nil_clean_ideal,
-    "uniquely-nil-clean": is_uniquely_nil_clean_ideal,
-    "uniquely-strongly-nil-clean": is_uniquely_strongly_nil_clean_ideal,
-    "nil": is_nil_ideal,
-}
-
-
-def _decomps_for_property(ring, prop: str, x: int):
-    if prop == "clean":
-        return clean_decompositions(ring, x)
-    decs = nil_clean_decompositions(ring, x)
-    if "strongly" in prop:
-        return strongly_filter(decs)
-    return decs
-
-
-def _ideal_witness(ring, ideal: Ideal, prop: str) -> Optional[dict]:
-    if prop == "nil":
-        from .classify import nilpotency_index
-
-        for x in ideal.indices:
-            if nilpotency_index(ring, x) is None:
-                return {"element": x, "label": ring.label(x), "decompositions": []}
-        return None
-    want_unique = prop.startswith("uniquely")
-    for x in ideal.indices:
-        decs = _decomps_for_property(ring, prop, x)
-        if (want_unique and len(decs) != 1) or (not want_unique and not decs):
-            return {
-                "element": x,
-                "label": ring.label(x),
-                "count": len(decs),
-                "decompositions": [d.to_json() for d in decs],
-            }
-    return None
-
-
 def cmd_ideal(args) -> int:
     caps = Caps(args.order_cap, args.ideal_cap)
     ring = build(args.spec, caps)
     ideal = ideal_generated(ring, args.gens)
-    verdict = _PROPERTY_DISPATCH[args.property](ideal)
+    nil = args.property == "nil"
+    bad = non_nilpotent_member(ideal) if nil else failing_member(ideal, args.property)
+    verdict = bad is None
     payload = {
         "ring": ring.spec,
         "ideal": ideal.to_json(),
@@ -192,9 +144,15 @@ def cmd_ideal(args) -> int:
         "verdict": verdict,
     }
     if not verdict:
-        witness = _ideal_witness(ring, ideal, args.property)
-        if witness is not None:
-            payload["witness"] = witness
+        # the least failing member, with its decompositions for the property
+        decs = [] if nil else decompositions(ring, bad, args.property)
+        payload["witness"] = {
+            "element": bad,
+            "label": ring.label(bad),
+            "decompositions": [d.to_json() for d in decs],
+        }
+        if not nil:
+            payload["witness"]["count"] = len(decs)
     if args.format == "json":
         _print_json(payload)
     else:
@@ -207,7 +165,7 @@ def cmd_ideal(args) -> int:
                 ("verdict", str(verdict).lower()),
             ]
         )
-        if not verdict and "witness" in payload:
+        if not verdict:
             wit = payload["witness"]
             sys.stdout.write(
                 f"witness element {wit['element']} ({wit['label']}) has "
@@ -223,11 +181,7 @@ def cmd_decompose(args) -> int:
         raise BadParameter(
             f"element {args.element} outside ring of order {ring.order}"
         )
-    decs = _decomps_for_property(
-        ring, args.kind if args.kind != "strongly-clean" else "clean", args.element
-    )
-    if args.kind == "strongly-clean":
-        decs = strongly_filter(decs)
+    decs = decompositions(ring, args.element, args.kind)
     payload = {
         "ring": ring.spec,
         "element": args.element,

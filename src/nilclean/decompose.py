@@ -11,7 +11,12 @@ the decomposition laws, and its idempotent lifting path, a tuple of
 indices, are facts about the ring and the element alone, so each is built
 at most once per element, when first asked for, and kept on the ring.  The
 checks read these index facts; `Decomposition` and `Elem` objects are built
-only for the public functions that return them.
+only for the public functions that return them, afresh on every call.
+
+`PROPERTIES` is the one place where what a property asks of an element is
+spelled out.  The ideal predicates, the least member an ideal property fails
+on (`failing_member`), and the decompositions listed for a property
+(`decompositions`) all read it.
 """
 
 from __future__ import annotations
@@ -25,11 +30,27 @@ from .errors import (
     NotAlmostIdempotent,
     PreconditionViolated,
 )
-from .ideals import Ideal, _mask_of_flags, is_nil_ideal
+from .ideals import Ideal, _mask_of_flags, first_outside, is_nil_ideal
 from .ring import Elem, ElemLike, FiniteRing
 
 NIL_CLEAN = "nil-clean"
 CLEAN = "clean"
+
+# name -> (kind, strong, unique).  Each property asks of an element x for
+# idempotents e with x - e nilpotent (nil-clean kind) or a unit (clean
+# kind), e and x - e commuting if strong: exactly one such e if unique, else
+# at least one.  The second part is x - e, so counting the idempotents
+# counts the decompositions.  The names are the ideal predicates' and the
+# command line's properties and decomposition kinds.
+PROPERTIES = {
+    "nil-clean": (NIL_CLEAN, False, False),
+    "clean": (CLEAN, False, False),
+    "strongly-nil-clean": (NIL_CLEAN, True, False),
+    "strongly-clean": (CLEAN, True, False),
+    "uniquely-nil-clean": (NIL_CLEAN, False, True),
+    "uniquely-strongly-nil-clean": (NIL_CLEAN, True, True),
+    "uniquely-strongly-clean": (CLEAN, True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -150,15 +171,14 @@ def _check_pairs(ring: FiniteRing, i: int, kind: str) -> Tuple[int, ...]:
     return found
 
 
-def _decompositions(ring: FiniteRing, i: int, kind: str) -> Tuple[Decomposition, ...]:
-    """The verified decompositions of element i, memoized element by element."""
-    memo = ring.cached(("decompositions", kind), dict)
-    decs = memo.get(i)
-    if decs is None:
-        decs = memo[i] = tuple(
-            _make(ring, i, e, kind) for e in admissible_idempotents(ring, i, kind)
-        )
-    return decs
+def decompositions(ring: FiniteRing, x: ElemLike, prop: str) -> List[Decomposition]:
+    """x's verified decompositions of the property's kind, only those with
+    commuting parts if it is strong (see `PROPERTIES`), by idempotent
+    ascending.  Built on each call."""
+    kind, strong, _ = PROPERTIES[prop]
+    i = ring.index_of(x)
+    decs = [_make(ring, i, e, kind) for e in admissible_idempotents(ring, i, kind)]
+    return strongly_filter(decs) if strong else decs
 
 
 def nil_clean_decompositions(ring: FiniteRing, x: ElemLike) -> List[Decomposition]:
@@ -166,12 +186,12 @@ def nil_clean_decompositions(ring: FiniteRing, x: ElemLike) -> List[Decompositio
 
     An empty list means x is not nil-clean.
     """
-    return list(_decompositions(ring, ring.index_of(x), NIL_CLEAN))
+    return decompositions(ring, x, NIL_CLEAN)
 
 
 def clean_decompositions(ring: FiniteRing, x: ElemLike) -> List[Decomposition]:
     """All pairs (e, x-e) with e idempotent and x-e a unit, by e ascending."""
-    return list(_decompositions(ring, ring.index_of(x), CLEAN))
+    return decompositions(ring, x, CLEAN)
 
 
 def strongly_filter(decompositions: List[Decomposition]) -> List[Decomposition]:
@@ -183,60 +203,62 @@ def strongly_filter(decompositions: List[Decomposition]) -> List[Decomposition]:
 # ideal- and ring-level predicates
 
 
-def _every_member(ideal: Ideal, kind: str, strong: bool = False, unique: bool = False) -> bool:
-    """Every member has a decomposition of the kind (exactly one if unique):
-    one test against the mask of the ring's elements that have, kept on the
-    ring."""
-    ring = ideal.ring
+def _member_mask(ring: FiniteRing, rule: Tuple[str, bool, bool]) -> int:
+    """The mask of the elements that satisfy a rule (kind, strong, unique) of
+    `PROPERTIES`, kept on the ring under the rule itself."""
 
     def fill():
+        kind, strong, unique = rule
         lists = _admissible(ring, kind, strong)
         if unique:
             return _mask_of_flags(bytearray(len(es) == 1 for es in lists))
         return _mask_of_flags(bytearray(map(bool, lists)))
 
-    good = ring.cached(("every_member", kind, strong, unique), fill)
-    return ideal.mask & ~good == 0
+    return ring.cached(rule, fill)
+
+
+def _every_member(ideal: Ideal, kind: str, strong: bool = False, unique: bool = False) -> bool:
+    """Every member has a decomposition of the kind (exactly one if unique):
+    the predicates by rule, also for a rule `PROPERTIES` does not name."""
+    return ideal.mask & ~_member_mask(ideal.ring, (kind, strong, unique)) == 0
+
+
+def failing_member(ideal: Ideal, prop: str) -> Optional[int]:
+    """The least member of the ideal without the property, or None."""
+    return first_outside(ideal, _member_mask(ideal.ring, PROPERTIES[prop]))
 
 
 def is_clean_ideal(ideal: Ideal) -> bool:
-    return _every_member(ideal, CLEAN)
+    return ideal.mask & ~_member_mask(ideal.ring, PROPERTIES["clean"]) == 0
 
 
 def is_nil_clean_ideal(ideal: Ideal) -> bool:
-    return _every_member(ideal, NIL_CLEAN)
+    return ideal.mask & ~_member_mask(ideal.ring, PROPERTIES["nil-clean"]) == 0
 
 
 def is_strongly_nil_clean_ideal(ideal: Ideal) -> bool:
-    return _every_member(ideal, NIL_CLEAN, strong=True)
+    return ideal.mask & ~_member_mask(ideal.ring, PROPERTIES["strongly-nil-clean"]) == 0
 
 
 def is_strongly_clean_ideal(ideal: Ideal) -> bool:
-    return _every_member(ideal, CLEAN, strong=True)
+    return ideal.mask & ~_member_mask(ideal.ring, PROPERTIES["strongly-clean"]) == 0
 
 
 def is_uniquely_nil_clean_ideal(ideal: Ideal) -> bool:
-    """Exactly one admissible idempotent for every member."""
-    return _every_member(ideal, NIL_CLEAN, unique=True)
+    return ideal.mask & ~_member_mask(ideal.ring, PROPERTIES["uniquely-nil-clean"]) == 0
 
 
 def is_uniquely_strongly_nil_clean_ideal(ideal: Ideal) -> bool:
-    """Exactly one commuting decomposition for every member.
-
-    The second part is x - e, so counting decompositions and counting their
-    idempotents is the same count.
-    """
-    return _every_member(ideal, NIL_CLEAN, strong=True, unique=True)
+    return ideal.mask & ~_member_mask(ideal.ring, PROPERTIES["uniquely-strongly-nil-clean"]) == 0
 
 
 def is_uniquely_strongly_clean_ideal(ideal: Ideal) -> bool:
-    return _every_member(ideal, CLEAN, strong=True, unique=True)
+    return ideal.mask & ~_member_mask(ideal.ring, PROPERTIES["uniquely-strongly-clean"]) == 0
 
 
 def is_nil_clean_ring(ring: FiniteRing) -> bool:
     """True iff every element of the ring is nil-clean."""
-    lists = _admissible(ring, NIL_CLEAN)
-    return all(lists[x] for x in range(ring.order))
+    return all(_admissible(ring, NIL_CLEAN))
 
 
 def splits_within_ideal(ideal: Ideal, x: ElemLike) -> bool:
@@ -261,7 +283,7 @@ def decomposition_within_ideal(ideal: Ideal, x: ElemLike) -> List[Decomposition]
         raise PreconditionViolated(f"element {i} is not in the ideal")
     return [
         d
-        for d in _decompositions(ring, i, NIL_CLEAN)
+        for d in decompositions(ring, i, NIL_CLEAN)
         if d.idempotent.index in ideal and d.second.index in ideal
     ]
 

@@ -353,11 +353,25 @@ def all_ideals(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> List[Ideal]:
     return ring.cached(("all_ideals", cap), fill)
 
 
+def first_outside(ideal: Ideal, mask: int) -> Optional[int]:
+    """The least member of the ideal outside the mask, or None: the lowest
+    set bit of ``ideal.mask & ~mask``."""
+    rest = ideal.mask & ~mask
+    return (rest & -rest).bit_length() - 1 if rest else None
+
+
+def _nil_mask(ring: FiniteRing) -> int:
+    return ring.cached("nil_mask", lambda: mask_of(nilpotents(ring)))
+
+
+def non_nilpotent_member(ideal: Ideal) -> Optional[int]:
+    """The least member that is not nilpotent, or None."""
+    return first_outside(ideal, _nil_mask(ideal.ring))
+
+
 def is_nil_ideal(ideal: Ideal) -> bool:
     """True iff every member is nilpotent: one test against the nil mask."""
-    ring = ideal.ring
-    nil = ring.cached("nil_mask", lambda: mask_of(nilpotents(ring)))
-    return ideal.mask & ~nil == 0
+    return ideal.mask & ~_nil_mask(ideal.ring) == 0
 
 
 def image_ideal(projection, ideal: Ideal) -> Ideal:

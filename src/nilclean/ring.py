@@ -160,7 +160,6 @@ class FiniteRing:
         "_mul_rows",
         "_neg_list",
         "_labeler",
-        "_elems",
         "_memo",
     )
 
@@ -188,7 +187,6 @@ class FiniteRing:
         self.structure = structure
         self.decode = decode if decode is not None else (lambda i: i)
         self._labeler = labeler
-        self._elems: Optional[list] = None
         self._memo: dict = {}
         self._add_rows = add
         self._mul_rows = mul
@@ -248,11 +246,7 @@ class FiniteRing:
     def elem(self, i: int) -> Elem:
         if not 0 <= i < self.order:
             raise BadParameter(f"index {i} outside ring of order {self.order}")
-        elems = self._elems
-        if elems is None:
-            elems = [Elem(self, j) for j in range(self.order)]
-            self._elems = elems
-        return elems[i]
+        return Elem(self, i)
 
     def elements(self) -> Iterator[Elem]:
         return (self.elem(i) for i in range(self.order))

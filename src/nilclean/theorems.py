@@ -24,6 +24,7 @@ from .classify import (
     center,
     complete_orthogonal_central_sets,
     idempotents,
+    is_boolean_ideal,
     is_central,
     is_idempotent,
     jacobson_radical,
@@ -45,6 +46,7 @@ from .construct import (
 from .decompose import (
     CLEAN,
     admissible_idempotents,
+    failing_member,
     is_clean_ideal,
     is_nil_clean_ideal,
     is_nil_clean_ring,
@@ -67,6 +69,7 @@ from .ideals import (
     is_nil_ideal,
     corner_ideal,
     mask_of,
+    non_nilpotent_member,
 )
 from .ring import FiniteRing, is_commutative, verify_axioms
 
@@ -250,18 +253,11 @@ def _subgroups_mod(g: int) -> List[frozenset]:
 # the checks, each a generator over one ring's instances (see _check)
 
 
-def _is_boolean_image(projection, ideal: Ideal) -> bool:
-    """Whether every member of the ideal's image is idempotent."""
-    image = image_ideal(projection, ideal)
-    return all(image.ring.mul_i(x, x) == x for x in image.indices)
-
-
 def _nil_or_witness(ring: FiniteRing, part: Ideal, reason: str, ideal: Ideal):
-    """None when part is a nil ideal, else a witness naming a non-nilpotent."""
-    if is_nil_ideal(part):
-        return None
-    bad = next(x for x in part.indices if nilpotency_index(ring, x) is None)
-    return _w(ring, reason, ideal, bad)
+    """None when part is a nil ideal, else a witness naming its least
+    non-nilpotent member."""
+    bad = non_nilpotent_member(part)
+    return _unless(bad is None, ring, reason, ideal, bad)
 
 
 def _bad_clean_pair(ring: FiniteRing, x: int):
@@ -302,9 +298,7 @@ def _check_l1(ring, caps):
         if not nil_clean:
             yield SKIP
         elif not clean:
-            bad = next(
-                x for x in ideal.indices if not admissible_idempotents(ring, x, CLEAN)
-            )
+            bad = failing_member(ideal, CLEAN)
             yield _w(ring, "nil-clean ideal with a non-clean member", ideal, bad)
         else:
             yield _clean_pair_failure(ring, ideal)
@@ -329,10 +323,8 @@ def _check_ppp1_cor(ring, caps):
         yield SKIP
         return
     radical = jacobson_radical(ring)
-    nil = nilpotents(ring)
-    bad = next((x for x in radical.indices if x not in nil), None)
     reason = "radical member outside the nilpotents"
-    yield _unless(bad is None, ring, reason, radical, bad)
+    yield _nil_or_witness(ring, radical, reason, radical)
 
 
 @_check(
@@ -396,7 +388,7 @@ def _check_ttt1(ring, caps):
         if ideal.mask & radical.mask != radical.mask:
             yield SKIP  # needs the radical inside the ideal
             continue
-        lhs = radical_nil and _is_boolean_image(projection, ideal)
+        lhs = radical_nil and is_boolean_ideal(image_ideal(projection, ideal))
         yield _iff(lhs, is_nil_clean_ideal(ideal), ring, reason, ideal)
 
 
@@ -453,7 +445,7 @@ def _check_mmm(ring, caps):
         meet = ideal_intersect(ideal, radical)
         _, projection = make_quotient(ring, meet)
         lhs = is_nil_clean_ideal(ideal)
-        rhs = is_nil_ideal(meet) and _is_boolean_image(projection, ideal)
+        rhs = is_nil_ideal(meet) and is_boolean_ideal(image_ideal(projection, ideal))
         yield _iff(lhs, rhs, ring, reason, ideal)
 
 
@@ -839,11 +831,11 @@ def _admitted(entry, caps: Caps):
 
 
 def _release(ring: FiniteRing) -> None:
-    """Empty the memos and element handles of a ring the runner is done with.
+    """Empty the memos of a ring the runner is done with.
 
-    Memoized ideals, quotient maps and element handles point back at their
-    ring, so a dropped ring would wait for the cycle collector.  The rings in
-    its structure and the quotients and corners in its memo go with it.
+    Memoized ideals and quotient maps point back at their ring, so a dropped
+    ring would wait for the cycle collector.  The rings in its structure and
+    the quotients and corners in its memo go with it.
     """
     todo, seen = [ring], set()
     while todo:
@@ -855,7 +847,6 @@ def _release(ring: FiniteRing) -> None:
             parts = part if isinstance(part, tuple) else (part,)
             todo.extend(p for p in parts if isinstance(p, FiniteRing))
         ring._memo.clear()
-        ring._elems = None
 
 
 def _advance(check: CheckDef, ring: FiniteRing, caps: Caps, reports) -> bool:
@@ -931,7 +922,7 @@ def explore_noncommutative(
         for ideal in all_ideals(ring, cap=caps.ideal_cap):
             if ideal.mask & radical.mask != radical.mask:
                 continue
-            boolean_side = radical_nil and _is_boolean_image(projection, ideal)
+            boolean_side = radical_nil and is_boolean_ideal(image_ideal(projection, ideal))
             nil_clean_side = is_nil_clean_ideal(ideal)
             findings.append(
                 {

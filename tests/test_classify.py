@@ -2,14 +2,18 @@ import pytest
 
 from nilclean import (
     BadParameter,
+    all_ideals,
     build,
     center,
     complete_orthogonal_central_sets,
     idempotents,
+    image_ideal,
+    is_boolean_ideal,
     is_boolean_ring,
     is_central,
     is_idempotent,
     jacobson_radical,
+    make_quotient,
     make_zmod,
     nilpotency_index,
     nilpotents,
@@ -205,3 +209,18 @@ def test_radical_passes_the_ideal_oracle(differential_rings):
     # the radical is built unverified: its docstring proves it an ideal
     for ring in differential_rings:
         assert naive_is_ideal(ring, jacobson_radical(ring).mask), ring.spec
+
+
+def test_boolean_ideal_matches_the_member_squares(differential_rings):
+    """On every ideal and on its image modulo the radical, where the checks
+    ask, against squaring each member."""
+    seen = set()
+    for ring in differential_rings:
+        _, projection = make_quotient(ring, jacobson_radical(ring))
+        for ideal in all_ideals(ring):
+            for part in (ideal, image_ideal(projection, ideal)):
+                mul = part.ring.mul_i
+                naive = all(mul(x, x) == x for x in part.indices)
+                assert is_boolean_ideal(part) == naive, (ring.spec, part.indices)
+                seen.add(naive)
+    assert seen == {False, True}

@@ -1,12 +1,14 @@
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from nilclean import cli, make_zmod
+from nilclean import build, cli, make_zmod
 from nilclean.cli import main, table_json
 from nilclean.construct import MAX_SPEC_DEPTH
+from oracles import brute_pairs, naive_nil_index
 
 GOLDEN = Path(__file__).parent / "golden" / "theorems_default.json"
 GOLDEN_TABLE = Path(__file__).parent / "golden" / "theorems_default.txt"
@@ -193,6 +195,83 @@ def test_ideal_z27_nil_clean_true(capsys):
     )
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+# Every `ideal` property against the oracles, on a few generated ideals of
+# six rings: the verdict is whether every member passes, the witness is the
+# least member that fails, and its decompositions are that member's pairs.
+WITNESS_GENS = {
+    "Z6": ((2,), (3,), (1,)),
+    "Z12": ((2,), (4,), (6,), (1,)),
+    "T2(Z2)": ((1,), (2,), (4,), (7,)),
+    "Id(4,2)": ((1,), (2,), (4,), (6,)),
+    "Z8xZ8": ((2,), (9,), (8, 2), (17,)),
+    "T2(Z4)": ((1,), (4,), (16,), (21,), (42,)),
+}
+
+
+def _oracle_pairs(ring, x: int, prop: str):
+    kind = "clean" if prop == "clean" else "nil-clean"
+    pairs = brute_pairs(ring, x, kind)
+    if "strongly" in prop:
+        pairs = [(e, y) for e, y in pairs if ring.mul_i(e, y) == ring.mul_i(y, e)]
+    return kind, pairs
+
+
+def _oracle_holds(ring, x: int, prop: str) -> bool:
+    if prop == "nil":
+        return naive_nil_index(ring, x) is not None
+    pairs = _oracle_pairs(ring, x, prop)[1]
+    return len(pairs) == 1 if prop.startswith("uniquely") else bool(pairs)
+
+
+def test_ideal_witness_matches_the_oracles(capsys):
+    """Verdict, witness element, count and decompositions of every property;
+    the rings give every property a true verdict somewhere, and every one
+    but clean a false one (every finite ring is clean)."""
+    seen = set()
+    for spec, all_gens in WITNESS_GENS.items():
+        ring = build(spec)
+        for gens, prop in itertools.product(all_gens, cli.IDEAL_PROPERTIES):
+            code, out, _ = run_cli(
+                capsys, "ideal", spec, "--gens", *map(str, gens),
+                "--property", prop, "--format", "json",
+            )
+            payload = json.loads(out)
+            members = payload["ideal"]["members"]
+            failing = [x for x in members if not _oracle_holds(ring, x, prop)]
+            where = (spec, gens, prop)
+            seen.add((prop, code))
+            assert payload["verdict"] is (not failing), where
+            assert code == (1 if failing else 0), where
+            if not failing:
+                assert "witness" not in payload, where
+                continue
+            x = failing[0]
+            witness = payload["witness"]
+            if prop == "nil":
+                assert witness == {"element": x, "label": ring.label(x), "decompositions": []}
+                continue
+            kind, pairs = _oracle_pairs(ring, x, prop)
+            assert witness == {
+                "element": x,
+                "label": ring.label(x),
+                "count": len(pairs),
+                "decompositions": [
+                    {
+                        "element": x,
+                        "idempotent": e,
+                        "second": y,
+                        "kind": kind,
+                        "commutes": ring.mul_i(e, y) == ring.mul_i(y, e),
+                        "nil_index": naive_nil_index(ring, y) if kind == "nil-clean" else None,
+                    }
+                    for e, y in pairs
+                ],
+            }, where
+    assert seen == {(p, 0) for p in cli.IDEAL_PROPERTIES} | {
+        (p, 1) for p in cli.IDEAL_PROPERTIES if p != "clean"
+    }
 
 
 def test_decompose_z4(capsys):

@@ -33,7 +33,14 @@ from nilclean import (
     zero_ideal,
 )
 
-from nilclean.decompose import NIL_CLEAN, _admissible, _every_member
+from nilclean.decompose import (
+    NIL_CLEAN,
+    PROPERTIES,
+    _admissible,
+    _every_member,
+    decompositions,
+    failing_member,
+)
 
 from oracles import brute_pairs, every_member_loop
 
@@ -72,13 +79,19 @@ def test_clean_examples():
 
 def test_decompositions_match_brute_force_all_pairs(differential_rings):
     for ring in differential_rings:
+        brute = {kind: brute_lists(ring, kind) for kind in KINDS}
         for kind, decompose in zip(KINDS, (nil_clean_decompositions, clean_decompositions)):
-            full, strong = brute_lists(ring, kind)
-            # the second pass reads every element's memoized decompositions
+            full, strong = brute[kind]
+            # the second pass reads every element's memoized admissible idempotents
             for x in [*range(ring.order), *range(ring.order)]:
                 decs = decompose(ring, x)
                 assert pairs(decs) == full[x], (ring.spec, kind, x)
                 assert pairs(strongly_filter(decs)) == strong[x], (ring.spec, kind, x)
+        # every property name lists its kind's pairs, the commuting ones if strong
+        for prop, (kind, strong, _) in PROPERTIES.items():
+            want = brute[kind][1] if strong else brute[kind][0]
+            for x in range(ring.order):
+                assert pairs(decompositions(ring, x, prop)) == want[x], (ring.spec, prop, x)
 
 
 def test_strong_lists_match_commuting_brute_pairs(differential_rings):
@@ -131,6 +144,29 @@ def test_member_masks_match_the_member_loop(family_rings):
                         )
                         seen[want] += 1
     assert seen[True] and seen[False]
+
+
+def test_failing_members_match_the_member_loop(family_rings):
+    """The least member each property fails on is the first member, in
+    ascending order, whose admissible list is empty (not of length one if
+    unique), and the property holds exactly when there is none."""
+    seen = Counter()
+    for ring in family_rings:
+        for ideal in all_ideals(ring):
+            for prop, (kind, strong, unique) in PROPERTIES.items():
+                lists = _admissible(ring, kind, strong)
+                want = next(
+                    (
+                        x
+                        for x in ideal.indices
+                        if (len(lists[x]) != 1 if unique else not lists[x])
+                    ),
+                    None,
+                )
+                assert failing_member(ideal, prop) == want, (ring.spec, prop, ideal.indices)
+                assert _every_member(ideal, kind, strong, unique) == (want is None)
+                seen[prop, want is None] += 1
+    assert {holds for _, holds in seen} == {False, True}
 
 
 def test_decompositions_self_verify(small_family_rings):

@@ -21,9 +21,18 @@ from pathlib import Path
 
 import pytest
 
+import nilclean.ideals as ideals_module
 import nilclean.theorems as theorems
-from nilclean import FiniteRing, Ideal, NilCleanError, all_ideals, build, run_all
-from oracles import brute_pairs, naive_is_unit
+from nilclean import (
+    FiniteRing,
+    Ideal,
+    NilCleanError,
+    SuiteConfig,
+    all_ideals,
+    build,
+    run_all,
+)
+from oracles import brute_pairs, naive_is_unit, naive_jacobson, naive_nil_index
 
 FIXTURE = Path(__file__).parent / "golden" / "forced_witnesses.json"
 
@@ -46,7 +55,9 @@ READ_AS = {"decomposition_within_ideal": "splits_within_ideal"}
 # it the flips reach 21 of the 27 checks.  The other six (L1, PPP1,
 # PPP1_cor, local_cor, morita_proj, nilindex_growth) read none of these
 # predicates on the way to a counterexample; L1's constructed-pair witness is
-# pinned by test_l1_constructed_pair_witness below instead.
+# pinned by test_l1_constructed_pair_witness below instead, and the PPP1,
+# PPP1_cor and local_cor witnesses by
+# test_nil_witnesses_name_the_least_hidden_nilpotent.
 FLIP_MODULUS = 5
 FLIP_SALT = "b"
 
@@ -158,3 +169,98 @@ def test_l1_constructed_pair_witness(monkeypatch):
     expected = _brute_l1_witness(build(L1_RING), L1_REMOVED_UNIT)
     assert report.witness == expected
     assert len(expected["ideal"]) > 1 and expected["element"] != 0
+
+
+# PPP1, PPP1_cor and local_cor fail only on a non-nilpotent member of a
+# nil-clean ideal or of the radical, which no ring has.  Hiding nilpotents
+# of a local nil-clean ring from every nilpotency view the checks read (the
+# nilpotent set, the per-element index and, through the ideal layer's
+# nilpotent set, the nil mask) drives each to a counterexample, while the
+# radical and the decompositions still count them as nilpotent.  Two are
+# hidden, both in each witness ideal, so the witness must be the lesser.
+NIL_RING = "Id(8,4)"
+NIL_HIDDEN = frozenset({10, 26})
+
+
+def _hide_nilpotent(monkeypatch, ring: FiniteRing) -> None:
+    real_nilpotents, real_index = theorems.nilpotents, theorems.nilpotency_index
+
+    def nilpotents(r):
+        found = real_nilpotents(r)
+        if r is not ring:
+            return found
+        return {x: k for x, k in found.items() if x not in NIL_HIDDEN}
+
+    def nilpotency_index(r, x):
+        if r is ring and r.index_of(x) in NIL_HIDDEN:
+            return None
+        return real_index(r, x)
+
+    monkeypatch.setattr(theorems, "nilpotents", nilpotents)
+    monkeypatch.setattr(theorems, "nilpotency_index", nilpotency_index)
+    monkeypatch.setattr(ideals_module, "nilpotents", nilpotents)
+
+
+def _brute_nil_witnesses(ring) -> dict:
+    """Each check's witness, found by walking ideals and members in order
+    with the oracles, the hidden elements counted as not nilpotent."""
+
+    def nil(x):
+        return x not in NIL_HIDDEN and naive_nil_index(ring, x) is not None
+
+    def nil_clean(members):
+        return all(brute_pairs(ring, x, "nil-clean") for x in members)
+
+    def witness(reason, members, keep):
+        return next(
+            {
+                "ring": ring.spec,
+                "reason": reason,
+                "ideal": sorted(members),
+                "element": x,
+                "element_label": ring.label(x),
+            }
+            for x in members
+            if keep(x) and not nil(x)
+        )
+
+    radical = naive_jacobson(ring)
+    every = range(ring.order)
+    idempotents = [x for x in every if ring.mul_i(x, x) == x]
+    assert idempotents == sorted({ring.zero_i, ring.one_i})
+    assert nil_clean(every)
+    proper = [i.indices for i in all_ideals(ring) if len(i.indices) < ring.order]
+    nil_clean_ideals = [i.indices for i in all_ideals(ring) if nil_clean(i.indices)]
+    return {
+        "PPP1": next(
+            witness("radical meet contains a non-nilpotent", m, lambda x: radical >> x & 1)
+            for m in nil_clean_ideals
+            if any(radical >> x & 1 and not nil(x) for x in m)
+        ),
+        "PPP1_cor": witness(
+            "radical member outside the nilpotents",
+            [x for x in every if radical >> x & 1],
+            lambda x: True,
+        ),
+        "local_cor": next(
+            witness("proper nil-clean ideal that is not nil", m, lambda x: True)
+            for m in proper
+            if nil_clean(m) and not all(map(nil, m))
+        ),
+    }
+
+
+def test_nil_witnesses_name_the_least_hidden_nilpotent(monkeypatch):
+    ring = build(NIL_RING)
+    _hide_nilpotent(monkeypatch, ring)
+    ids = ["PPP1", "PPP1_cor", "local_cor"]
+    reports = run_all(SuiteConfig(family=(ring,)), ids=ids)
+    expected = _brute_nil_witnesses(build(NIL_RING))
+    assert [r.id for r in reports] == ids
+    for report in reports:
+        assert report.verdict == "counterexample", report.id
+        assert report.witness == expected[report.id], report.id
+        assert report.witness["element"] == min(NIL_HIDDEN)
+        assert NIL_HIDDEN <= set(report.witness["ideal"])
+    # the witness ideals differ, so the checks walk to different instances
+    assert len({len(w["ideal"]) for w in expected.values()}) > 1

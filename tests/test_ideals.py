@@ -22,7 +22,7 @@ from nilclean import (
     unit_ideal,
     zero_ideal,
 )
-from nilclean.ideals import verify_ideal
+from nilclean.ideals import non_nilpotent_member, verify_ideal
 
 from oracles import divisors, naive_nil_index
 
@@ -128,10 +128,18 @@ def test_nil_ideal_examples():
 
 
 def test_nil_ideal_matches_naive_members(differential_rings):
+    """The verdict, and the least non-nilpotent member as the witness."""
+    seen = set()
     for ring in differential_rings:
         for ideal in all_ideals(ring):
             naive = all(naive_nil_index(ring, x) is not None for x in ideal.indices)
             assert is_nil_ideal(ideal) == naive, (ring.spec, ideal.indices)
+            least = next(
+                (x for x in ideal.indices if naive_nil_index(ring, x) is None), None
+            )
+            assert non_nilpotent_member(ideal) == least, (ring.spec, ideal.indices)
+            seen.add(naive)
+    assert seen == {False, True}
 
 
 def test_image_ideal_examples():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nilclean import (
+    Elem,
     ElementRingMismatch,
     ExhaustiveTooLarge,
     build,
@@ -143,3 +144,20 @@ def test_elem_repr_uses_labels():
     ring = build("Id(4,2)")
     assert "(" in repr(ring.elem(3))
     assert repr(make_zmod(6).elem(4)) == "<Z6 4>"
+
+
+def test_element_handles_are_made_on_demand():
+    """Handles compare and hash by (ring, index), so each call may make a
+    fresh one, and the ring keeps no list of handles."""
+    ring = make_zmod(16)
+    handles = list(ring.elements())
+    assert ring.elem(5) == ring.elem(5) == handles[5]
+    assert hash(ring.elem(5)) == hash(ring.elem(5)) == hash(handles[5])
+    assert ring.elem(5) != ring.elem(6)
+    assert ring.elem(5) != make_zmod(16).elem(5)
+    held = [getattr(ring, name) for name in type(ring).__slots__ if hasattr(ring, name)]
+    held += list(ring._memo.values())
+    assert not any(
+        isinstance(part, (list, tuple)) and any(isinstance(h, Elem) for h in part)
+        for part in held
+    )
