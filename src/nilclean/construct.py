@@ -35,7 +35,7 @@ from .errors import (
     OrderCapExceeded,
     ParseError,
 )
-from .ring import Elem, FiniteRing, LazyRow
+from .ring import Elem, FiniteRing
 
 DEFAULT_ORDER_CAP = 4096
 DEFAULT_IDEAL_CAP = 512
@@ -255,7 +255,8 @@ def parse_ring_spec(text: str) -> RingSpec:
 # --------------------------------------------------------------------------
 # table builders
 #
-# Z_n rows are cut from stepped slices on their first read (``LazyRow``).
+# Z_n rows, cut from stepped slices, and quotient and corner add rows are
+# built on first read, from the row builders their rings are given.
 # Products, T_n, Id and MZ are direct sums of their slots' additive groups,
 # and ``_direct_sum`` alone knows how their tuples are indexed; each of those
 # constructors names its slots, its product and its label format.  Their
@@ -544,17 +545,23 @@ def _ring_slot(ring: FiniteRing) -> tuple:
 
 
 def _induced_tables(ring: FiniteRing, elems, index) -> tuple:
-    """Tables on `elems` (coset representatives or corner members) whose entry
-    for (i, j) is ``index[elems[i] op elems[j]]``, from the parent's rows.
+    """(add-row builder, mul rows, negation list) on `elems` (coset
+    representatives or corner members), entry (i, j) being ``index[elems[i]
+    op elems[j]]``, from the parent's rows.
 
-    One comprehension step per entry, 2*q^2 in all for q elements: a gather
-    at `elems` would still need a second gather through `index` per row,
-    and that measured no faster at the orders the checks build.
+    One comprehension step per entry: a gather at `elems` would still need
+    a second gather through `index` per row, and that measured no faster.
+    The checks read few add rows (the admissible walk reads only the
+    idempotents'), but the nilpotents fill reads every mul row.
     """
-    add = [[index[row[y]] for y in elems] for row in map(ring.add_row, elems)]
+
+    def add_row(i: int) -> list:
+        row = ring.add_row(elems[i])
+        return [index[row[y]] for y in elems]
+
     mul = [[index[row[y]] for y in elems] for row in map(ring.mul_row, elems)]
     neg = [index[ring.neg_i(x)] for x in elems]
-    return add, mul, neg
+    return add_row, mul, neg
 
 
 # --------------------------------------------------------------------------
@@ -575,9 +582,8 @@ def _check_order(order: int, cap: int, name: str) -> None:
 def make_zmod(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """The ring of integers modulo n; index i is the residue i.
 
-    Each table row is built on its first read (``LazyRow``), so a ring asked
-    about a few elements, such as the nilpotency index of 2 in Z1024,
-    builds only their rows.
+    The ring is given row builders, so a ring asked about a few elements,
+    such as the nilpotency index of 2 in Z1024, builds only their rows.
     """
     if n < 2:
         raise BadParameter(f"modulus must be at least 2, got {n}")
@@ -588,8 +594,8 @@ def make_zmod(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
         one=1,
         spec=f"Z{n}",
         structure=("zmod", n),
-        add=LazyRow.table(n, _zmod_add_row(n)),
-        mul=LazyRow.table(n, _zmod_mul_row(n)),
+        add=_zmod_add_row(n),
+        mul=_zmod_mul_row(n),
         neg=_zmod_neg(n),
     )
 

@@ -354,7 +354,14 @@ def lift_idempotent(ring: FiniteRing, a: ElemLike) -> Elem:
 
 
 def lift_idempotent_mod_nil(ring: FiniteRing, ideal: Ideal, x: ElemLike) -> Elem:
-    """Lift x with x^2 - x in a nil ideal to an idempotent congruent mod it.
+    """An idempotent congruent to x modulo a nil ideal that holds x^2 - x
+    (``lifted_mod_nil`` as an element)."""
+    return ring.elem(lifted_mod_nil(ring, ideal, x))
+
+
+def lifted_mod_nil(ring: FiniteRing, ideal: Ideal, x: ElemLike) -> int:
+    """Index of an idempotent congruent to x modulo a nil ideal that holds
+    x^2 - x.
 
     The iteration only ever moves x by multiples of x - x^2, so the result
     stays congruent to x modulo the ideal; that containment is re-checked.
@@ -372,4 +379,4 @@ def lift_idempotent_mod_nil(ring: FiniteRing, ideal: Ideal, x: ElemLike) -> Elem
         raise InternalInvariantViolation(
             f"lift left the coset of {i} modulo the ideal"
         )
-    return ring.elem(e)
+    return e

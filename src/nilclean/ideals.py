@@ -332,7 +332,9 @@ def all_ideals(ring: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> List[Ideal]:
             current = queue.pop()
             members = indices_of(current)
             for pmask in principal:
-                if pmask & ~current == 0:
+                # p inside current adds nothing; current inside p makes the
+                # sum p, which is in the pool from the start
+                if pmask & ~current == 0 or current & ~pmask == 0:
                     continue
                 # a principal ideal is the additive span of its kept generators
                 union = _span(ring.add_row, ring.order, members, kept[pmask])[0]

@@ -4,10 +4,11 @@ Every ring maps its elements onto the indices ``0 .. order-1`` and stores
 its addition and multiplication as Cayley tables, lists of rows, which the
 constructors build row by row from tables that already exist.  A ring keeps
 the tables it is given and never copies them; at order n they hold about
-16*n^2 bytes once every row is built.  A row may be a :class:`LazyRow`
-placeholder that builds the row on first read and puts it in its place, so
-a ring asked about a few elements builds only their rows; ``add_row`` and
-``mul_row`` always return built rows.
+16*n^2 bytes once every row is built.  A constructor may give a row builder
+``i -> row`` in place of a table: the ring then holds None for each row
+until its first read builds and stores it, so a ring asked about a few
+elements builds only their rows, and drops the builder once every row is
+built.  ``add_row`` and ``mul_row`` always return built rows.
 
 A ring is immutable once built; the ``cached`` helper backs fill-once memo
 slots (classifier sets, ideal lists) whose fills are pure and idempotent.
@@ -26,7 +27,6 @@ report.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
 from operator import getitem, itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -96,57 +96,21 @@ class Elem:
 
 
 ElemLike = Union[Elem, int]
+RowBuilder = Callable[[int], list]
 
 
-class _Table(list):
-    """A table of rows that its placeholders can refer to weakly."""
-
-    __slots__ = ("__weakref__",)
-
-
-class LazyRow:
-    """Placeholder for row `i` of the table `rows`, built by ``build(i)``.
-
-    The first index builds the row, writes the list over this placeholder
-    in `rows` and drops the references to `rows` and `build`, so a table
-    whose rows have all been read holds only lists and nothing that the
-    builder keeps alive.  Only the table holds a placeholder, so each is
-    read once: later reads of ``rows[i][j]`` hit the list directly.  The
-    placeholder refers to its table weakly, so a table dropped with rows
-    unbuilt is freed, with its builder, when its last reference goes and
-    not only by the cyclic garbage collector.
-    """
-
-    __slots__ = ("rows", "i", "build")
-
-    def __init__(self, rows: _Table, i: int, build: Callable[[int], list]):
-        self.rows = weakref.ref(rows)
-        self.i = i
-        self.build = build
-
-    @classmethod
-    def table(cls, n: int, build: Callable[[int], list]) -> list:
-        """A table of n unbuilt rows, row i to be built by ``build(i)``."""
-        rows = _Table()
-        rows.extend(cls(rows, i, build) for i in range(n))
-        return rows
-
-    def built(self) -> list:
-        row = self.rows()[self.i] = self.build(self.i)
-        self.rows = self.build = None
-        return row
-
-    def __getitem__(self, j):
-        return self.built()[j]
+def _rows(order: int, table) -> tuple:
+    """(rows, builder) of a table given as rows or as a row builder."""
+    return ([None] * order, table) if callable(table) else (table, None)
 
 
 class FiniteRing:
     """A finite associative ring with unity, elements indexed 0..order-1.
 
-    `add` and `mul` are Cayley tables, lists of rows taken as given and never
-    copied, whose rows may be :class:`LazyRow` placeholders built on first
-    read; `neg` is the negation list, or None to scan the add table for
-    inverses.
+    `add` and `mul` are each a Cayley table, a list of rows taken as given
+    and never copied, or a builder ``i -> row`` whose rows are built on
+    first read; `neg` is the negation list, or None to scan the add table
+    for inverses.
     """
 
     __slots__ = (
@@ -158,6 +122,8 @@ class FiniteRing:
         "decode",
         "_add_rows",
         "_mul_rows",
+        "_builders",
+        "_unbuilt",
         "_neg_list",
         "_labeler",
         "_memo",
@@ -170,8 +136,8 @@ class FiniteRing:
         one: int,
         spec: str,
         structure: tuple,
-        add: Sequence[Sequence[int]],
-        mul: Sequence[Sequence[int]],
+        add: Union[Sequence[Sequence[int]], RowBuilder],
+        mul: Union[Sequence[Sequence[int]], RowBuilder],
         neg: Optional[Sequence[int]] = None,
         decode: Optional[Callable[[int], object]] = None,
         labeler: Optional[Callable[[int], str]] = None,
@@ -188,8 +154,10 @@ class FiniteRing:
         self.decode = decode if decode is not None else (lambda i: i)
         self._labeler = labeler
         self._memo: dict = {}
-        self._add_rows = add
-        self._mul_rows = mul
+        self._add_rows, add_build = _rows(order, add)
+        self._mul_rows, mul_build = _rows(order, mul)
+        # per table, add then mul: its builder and the rows it has left to build
+        self._builders, self._unbuilt = [add_build, mul_build], [order, order]
         self._neg_list = neg if neg is not None else self._scan_negatives()
 
     def _scan_negatives(self) -> list:
@@ -204,11 +172,12 @@ class FiniteRing:
 
     # -- index-level arithmetic -------------------------------------------
 
+    # rows are never empty (the order is at least 2): `or` builds unbuilt ones
     def add_i(self, i: int, j: int) -> int:
-        return self._add_rows[i][j]
+        return (self._add_rows[i] or self.add_row(i))[j]
 
     def mul_i(self, i: int, j: int) -> int:
-        return self._mul_rows[i][j]
+        return (self._mul_rows[i] or self.mul_row(i))[j]
 
     def neg_i(self, i: int) -> int:
         return self._neg_list[i]
@@ -289,13 +258,19 @@ class FiniteRing:
 
     def add_row(self, i: int) -> list:
         """Row i of the addition table, built if it was not yet."""
-        row = self._add_rows[i]
-        return row.built() if type(row) is LazyRow else row
+        return self._add_rows[i] or self._build(self._add_rows, 0, i)
 
     def mul_row(self, i: int) -> list:
         """Row i of the multiplication table, built if it was not yet."""
-        row = self._mul_rows[i]
-        return row.built() if type(row) is LazyRow else row
+        return self._mul_rows[i] or self._build(self._mul_rows, 1, i)
+
+    def _build(self, rows: list, t: int, i: int) -> list:
+        """Build row i of table t into `rows`; the last row drops the builder."""
+        row = rows[i] = self._builders[t](i)
+        self._unbuilt[t] -= 1
+        if not self._unbuilt[t]:
+            self._builders[t] = None
+        return row
 
     def __repr__(self):
         return f"<FiniteRing {self.spec} order={self.order}>"

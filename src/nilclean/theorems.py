@@ -55,7 +55,7 @@ from .decompose import (
     is_uniquely_nil_clean_ideal,
     is_uniquely_strongly_clean_ideal,
     is_uniquely_strongly_nil_clean_ideal,
-    lift_idempotent_mod_nil,
+    lifted_mod_nil,
     splits_within_ideal,
 )
 from .errors import AxiomFailure, NilCleanError, NotAnIdeal, UnknownCheck
@@ -505,7 +505,7 @@ def _lift_failure(ring: FiniteRing, nil: Ideal, outer: Ideal, todo: int):
         pending ^= low
         x = low.bit_length() - 1
         try:
-            lift_idempotent_mod_nil(ring, nil, x)
+            lifted_mod_nil(ring, nil, x)
         except NilCleanError as exc:
             return _w(ring, f"idempotent lift failed: {exc}", outer, x)
     return None
@@ -835,7 +835,9 @@ def _release(ring: FiniteRing) -> None:
 
     Memoized ideals and quotient maps point back at their ring, so a dropped
     ring would wait for the cycle collector.  The rings in its structure and
-    the quotients and corners in its memo go with it.
+    the quotients and corners in its memo go with it: the only memo entries
+    holding rings are their ``(ring, map)`` pairs, keyed ``("quotient",
+    mask)`` or ``("corner", e)`` (a string key's first item is one letter).
     """
     todo, seen = [ring], set()
     while todo:
@@ -843,9 +845,8 @@ def _release(ring: FiniteRing) -> None:
         if id(ring) in seen:
             continue
         seen.add(id(ring))
-        for part in ring.structure[1:] + tuple(ring._memo.values()):
-            parts = part if isinstance(part, tuple) else (part,)
-            todo.extend(p for p in parts if isinstance(p, FiniteRing))
+        todo += [p for p in ring.structure[1:] if isinstance(p, FiniteRing)]
+        todo += [v[0] for k, v in ring._memo.items() if k[0] in ("quotient", "corner")]
         ring._memo.clear()
 
 

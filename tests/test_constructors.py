@@ -27,6 +27,7 @@ from nilclean import (
     idempotents,
     ideal_generated,
     is_boolean_ring,
+    is_central,
     is_commutative,
     is_nil_clean_ring,
     is_unit,
@@ -43,7 +44,13 @@ from nilclean import (
     units,
     verify_axioms,
 )
-from nilclean.construct import DEFAULT_ORDER_CAP, TRI_POSITIONS, _is_rotation
+from nilclean.construct import (
+    DEFAULT_ORDER_CAP,
+    TRI_POSITIONS,
+    _is_rotation,
+    _zmod_add_row,
+    _zmod_mul_row,
+)
 
 import nilclean.theorems as theorems
 from oracles import (
@@ -197,6 +204,43 @@ def test_quotients_match_the_coset_loop(monkeypatch):
         assert projection.reps == reps and projection.index_map == index_map
         assert [quotient.add_row(i) for i in range(quotient.order)] == add
         assert [quotient.mul_row(i) for i in range(quotient.order)] == mul
+
+
+def test_induced_add_rows_are_built_on_first_read(differential_rings):
+    """Every quotient by a proper ideal and every corner at a nonzero central
+    idempotent of a freshly built ring starts with no add row built.  Rows
+    are reached in a seeded random order, every other one first through one
+    add_i entry and the rest through add_row; each read builds that row
+    alone, and the filled table equals the coset loop or the per-entry
+    reference, with its builder dropped."""
+    for spec in dict.fromkeys(ring.spec for ring in differential_rings):
+        ring = build(spec)
+        induced = []
+        for ideal in all_ideals(ring):
+            if ideal.is_proper:
+                want = quotient_coset_loop(ring, ideal)[2]
+                induced.append((make_quotient(ring, ideal)[0], want))
+        for e in sorted(idempotents(ring)):
+            if e != ring.zero_i and is_central(ring, e):
+                corner = make_corner(ring, e)[0]
+                add = reference_ops(corner)[0]
+                every = range(corner.order)
+                want = [list(map(add, itertools.repeat(i), every)) for i in every]
+                induced.append((corner, want))
+        rng = random.Random(spec)
+        for sub, want in induced:
+            n = sub.order
+            assert sub._add_rows == [None] * n, sub.spec
+            for k, i in enumerate(rng.sample(range(n), n)):
+                unbuilt = sum(row is None for row in sub._add_rows)
+                if k % 2:
+                    assert sub.add_row(i) == want[i], (sub.spec, i)
+                else:
+                    j = rng.randrange(n)
+                    assert sub.add_i(i, j) == want[i][j], (sub.spec, i, j)
+                assert sum(row is None for row in sub._add_rows) == unbuilt - 1
+                assert sub._add_rows[i] == want[i], (sub.spec, i)
+            assert sub._builders[0] is None, sub.spec
 
 
 def test_projection_is_a_surjective_ring_map(small_family_rings):
@@ -627,7 +671,7 @@ def test_zmod_filled_tables_drop_their_row_builders():
     with the 64*n residue list the multiplication rows are cut from, are
     freed."""
     ring = make_zmod(300)
-    builders = [weakref.ref(ring._add_rows[0].build), weakref.ref(ring._mul_rows[0].build)]
+    builders = list(map(weakref.ref, ring._builders))
     for i in range(300):
         ring.add_i(i, 0)
         ring.mul_i(i, 0)
@@ -636,13 +680,13 @@ def test_zmod_filled_tables_drop_their_row_builders():
 
 
 def test_zmod_dropped_with_unbuilt_rows_frees_its_builders_at_once():
-    """A table refers to its placeholders and they to it only weakly, so the
-    ring and its row builders go with the last reference, without the
-    cyclic garbage collector."""
+    """The ring alone refers to its row builders and they not to it, so the
+    ring and its builders go with the last reference, without the cyclic
+    garbage collector."""
     gc.disable()
     try:
         ring = make_zmod(1024)
-        builders = [weakref.ref(ring._add_rows[0].build), weakref.ref(ring._mul_rows[0].build)]
+        builders = list(map(weakref.ref, ring._builders))
         assert ring.add_i(2, 3) == 5 and ring.mul_i(2, 3) == 6
         del ring
         assert [b() for b in builders] == [None, None]
@@ -651,8 +695,7 @@ def test_zmod_dropped_with_unbuilt_rows_frees_its_builders_at_once():
 
 
 def test_negatives_are_scanned_from_unbuilt_rows():
-    z = make_zmod(45)
-    ring = FiniteRing(45, 0, 1, "Z45", ("zmod", 45), z._add_rows, z._mul_rows)
+    ring = FiniteRing(45, 0, 1, "Z45", ("zmod", 45), _zmod_add_row(45), _zmod_mul_row(45))
     assert [ring.neg_i(i) for i in range(45)] == [-i % 45 for i in range(45)]
 
 

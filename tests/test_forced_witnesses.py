@@ -49,7 +49,10 @@ FLIPPED = (
 
 # The check reads some fixture entries through a predicate of another name;
 # the fixture name stays in the flip key, so the same arguments are flipped.
-READ_AS = {"decomposition_within_ideal": "splits_within_ideal"}
+READ_AS = {
+    "decomposition_within_ideal": "splits_within_ideal",
+    "lift_idempotent_mod_nil": "lifted_mod_nil",
+}
 
 # One argument key in FLIP_MODULUS is flipped.  The salt picks which: with
 # it the flips reach 21 of the 27 checks.  The other six (L1, PPP1,

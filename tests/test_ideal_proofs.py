@@ -189,14 +189,14 @@ LIFT_CASES = [
 def test_lift_witness_is_the_set_walk_witness(monkeypatch, spec, failing):
     """A lift forced to fail on chosen elements gives the witness the old
     set-based loop finds: the same element, outer ideal and reason."""
-    real = theorems.lift_idempotent_mod_nil
+    real = theorems.lifted_mod_nil
 
     def lift(ring, nil, x):
         if x in failing:
             raise NilCleanError(f"forced failure at {x}")
         return real(ring, nil, x)
 
-    monkeypatch.setattr(theorems, "lift_idempotent_mod_nil", lift)
+    monkeypatch.setattr(theorems, "lifted_mod_nil", lift)
     report = run_check("lift_mod_nil", family=(spec,))
     ring = build(spec)
     found = lift_mod_nil_walk(ring, all_ideals(ring), lift, NilCleanError)

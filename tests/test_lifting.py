@@ -4,6 +4,7 @@ import pytest
 
 import nilclean.decompose as decompose_module
 from nilclean import (
+    InternalInvariantViolation,
     NotAlmostIdempotent,
     PreconditionViolated,
     build,
@@ -106,6 +107,29 @@ def test_lift_mod_nil_requires_defect_inside():
     zero = ideal_generated(z8, [])
     with pytest.raises(PreconditionViolated):
         lift_idempotent_mod_nil(z8, zero, 3)  # 3^2 - 3 = 6 not in (0)
+
+
+def test_lifted_mod_nil_keeps_every_precondition():
+    """The int form refuses what the element form refuses and returns the
+    index of the same lift."""
+    lifted = decompose_module.lifted_mod_nil
+    z8, z6 = make_zmod(8), make_zmod(6)
+    two = ideal_generated(z8, [2])
+    assert lifted(z8, two, 3) == lift_idempotent_mod_nil(z8, two, 3).index == 1
+    with pytest.raises(PreconditionViolated, match="different ring"):
+        lifted(z6, two, 3)
+    with pytest.raises(PreconditionViolated, match="not nil"):
+        lifted(z6, ideal_generated(z6, [2]), 3)
+    with pytest.raises(PreconditionViolated, match="not in the ideal"):
+        lifted(z8, ideal_generated(z8, []), 3)  # 3^2 - 3 = 6 not in (0)
+
+
+def test_lifted_mod_nil_refuses_a_lift_outside_the_coset(monkeypatch):
+    z8 = make_zmod(8)
+    four = ideal_generated(z8, [4])
+    monkeypatch.setattr(decompose_module, "_lifted", lambda ring, i: (i, 0))
+    with pytest.raises(InternalInvariantViolation, match="left the coset"):
+        decompose_module.lifted_mod_nil(z8, four, 1)  # 0 - 1 = 7 not in (4)
 
 
 def test_lift_mod_nil_over_family(small_family_rings):

@@ -13,6 +13,7 @@ from nilclean import (
     build,
     explore_noncommutative,
     ideal_generated,
+    make_corner,
     make_quotient,
     make_zmod,
     make_table_ring,
@@ -129,6 +130,20 @@ def test_release_reaches_the_quotients_in_a_memo():
         key = (id(ring), ring.spec)
         theorems._release(ring)
         del ring, quotient
+        assert key not in _alive_rings()
+    finally:
+        gc.enable()
+
+
+def test_release_reaches_the_corners_in_a_memo():
+    gc.disable()
+    try:
+        ring = build("Z12")
+        corner = make_corner(ring, 4)[0]
+        all_ideals(corner)  # the corner's memo now holds its own cycle
+        key = (id(ring), ring.spec)
+        theorems._release(ring)
+        del ring, corner
         assert key not in _alive_rings()
     finally:
         gc.enable()
